@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import BoundaryError, FitError, InputError, InversionError
 from .spinphys import FieldConfig, HyperfineTensor, SpinSpecies, invert_hyperfine
@@ -140,6 +139,8 @@ def bath_center_shift(frequencies, amplitudes, species: SpinSpecies, field: Fiel
 
     def model(x, amp, center, sigma, offset):
         return amp * np.exp(-0.5 * ((x - center) / sigma) ** 2) + offset
+
+    from scipy.optimize import curve_fit
 
     try:
         popt, _ = curve_fit(

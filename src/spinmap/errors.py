@@ -5,6 +5,17 @@ them to exit code 1 with a machine-readable error object.
 """
 
 
+def _plain(value):
+    """``value`` with numpy scalars and arrays turned into Python floats and lists."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    return value
+
+
 class SpinMapError(Exception):
     """Base class for domain errors."""
 
@@ -53,6 +64,9 @@ class InversionError(SpinMapError):
         super().__init__(message)
         self.residual = residual
 
+    def payload(self):
+        return {**super().payload(), "residual": _plain(self.residual)}
+
 
 class FitError(SpinMapError):
     """A curve fit failed to converge or the signal is too weak."""
@@ -80,6 +94,9 @@ class NonConvergenceError(SpinMapError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+    def payload(self):
+        return {**super().payload(), "diagnostics": _plain(self.diagnostics)}
 
 
 class InputError(SpinMapError):

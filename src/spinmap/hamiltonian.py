@@ -96,8 +96,13 @@ class SpinSystemSpec:
         return float(self.pair_tensor[2, 2])
 
 
-def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
-    """Dense 16x16 Hamiltonian in Hz (Hermitian)."""
+def _operators():
+    """The 16x16 spin operators build_hamiltonian scales and sums.
+
+    Returns (Sz^2, electron (Sx, Sy, Sz), per-nucleus (Ix, Iy, Iz), per-nucleus
+    hyperfine combinations (Sz Iz, Sz Ix + Sx Iz, Sz Iy + Sy Iz), internuclear
+    products pair[a][b] = I1_a I2_b).
+    """
     sx, sy, sz = spin_matrices(1.5)
     ix, iy, iz = spin_matrices(0.5)
     one_e = np.eye(4, dtype=complex)
@@ -106,29 +111,43 @@ def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     def kron3(a, b, c):
         return np.kron(a, np.kron(b, c))
 
-    bx, by, bz = spec.field.b_vec_tesla
-    ge = spec.field.electron_gamma
-    h = spec.d * kron3(sz @ sz, one_n, one_n)
-    h += ge * (bx * kron3(sx, one_n, one_n) + by * kron3(sy, one_n, one_n) + bz * kron3(sz, one_n, one_n))
-    nuc_ops = [
+    ex, ey, ez = kron3(sx, one_n, one_n), kron3(sy, one_n, one_n), kron3(sz, one_n, one_n)
+    nuc = (
         (kron3(one_e, ix, one_n), kron3(one_e, iy, one_n), kron3(one_e, iz, one_n)),
         (kron3(one_e, one_n, ix), kron3(one_e, one_n, iy), kron3(one_e, one_n, iz)),
-    ]
-    e_ops = (kron3(sx, one_n, one_n), kron3(sy, one_n, one_n), kron3(sz, one_n, one_n))
-    for (species, hf), (jx, jy, jz) in zip(spec.nuclei, nuc_ops):
+    )
+    hyperfine = tuple((ez @ jz, ez @ jx + ex @ jz, ez @ jy + ey @ jz) for jx, jy, jz in nuc)
+    pair = tuple(tuple(a @ b for b in nuc[1]) for a in nuc[0])
+    return kron3(sz @ sz, one_n, one_n), (ex, ey, ez), nuc, hyperfine, pair
+
+
+_SZ2, _E_OPS, _NUC_OPS, _HF_OPS, _PAIR_OPS = _operators()
+
+
+def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
+    """Dense 16x16 Hamiltonian in Hz (Hermitian)."""
+    # Each entry of a cached operator product is one product of two matrix
+    # entries, one of them a spin-1/2 entry (+-1/2 or +-i/2), so scaling the
+    # product gives the same bits as multiplying a scaled operator.  Keep the
+    # order of the additions: summing the terms in another order changes the
+    # rounding of the spectrum.
+    bx, by, bz = spec.field.b_vec_tesla
+    ge = spec.field.electron_gamma
+    ex, ey, ez = _E_OPS
+    h = spec.d * _SZ2
+    h += ge * (bx * ex + by * ey + bz * ez)
+    for (species, hf), (jx, jy, jz), (hzz, hzx, hzy) in zip(spec.nuclei, _NUC_OPS, _HF_OPS):
         gn = species.gyromagnetic_ratio
         h += gn * (bx * jx + by * jy + bz * jz)
         # measured z-row plus its symmetric transpose
-        h += hf.a_zz * e_ops[2] @ jz
-        h += hf.a_zx * (e_ops[2] @ jx + e_ops[0] @ jz)
-        h += hf.a_zy * (e_ops[2] @ jy + e_ops[1] @ jz)
-    ops1 = nuc_ops[0]
-    ops2 = nuc_ops[1]
+        h += hf.a_zz * hzz
+        h += hf.a_zx * hzx
+        h += hf.a_zy * hzy
     for a in range(3):
         for b in range(3):
             cab = spec.pair_tensor[a, b]
             if cab != 0.0:
-                h += cab * ops1[a] @ ops2[b]
+                h += cab * _PAIR_OPS[a][b]
     return h
 
 
@@ -172,25 +191,26 @@ def label_eigenstates(spec: SpinSystemSpec, overlap_threshold: float = 0.6):
     return energies, evals, evecs
 
 
-def _sedor_lambda(spec: SpinSystemSpec, m_s: float, energies) -> float:
-    def e(m1, m2):
-        return energies[EigenstateLabel(m_s, m1, m2).basis_index]
-
-    return e(0.5, 0.5) + e(-0.5, -0.5) - e(-0.5, 0.5) - e(0.5, -0.5)
+def _sedor_lambda(m_s: float, energies) -> float:
+    if m_s not in _E_INDEX:
+        raise InputError(f"invalid electron projection m_s={m_s}")
+    # basis index 4*e + 2*n1 + n2, with n = 0 for m_I = +1/2 and 1 for -1/2
+    k = 4 * _E_INDEX[m_s]
+    return energies[k] + energies[k + 3] - energies[k + 2] - energies[k + 1]
 
 
 def sedor_frequency_exact(spec: SpinSystemSpec, m_s: float, overlap_threshold: float = 0.6) -> float:
     """SEDOR frequency from exact eigenenergies in manifold m_s, Hz."""
     energies, _, _ = label_eigenstates(spec, overlap_threshold)
-    return 0.5 * abs(_sedor_lambda(spec, m_s, energies))
+    return 0.5 * abs(_sedor_lambda(m_s, energies))
 
 
 def subspace_averaged_sedor(spec: SpinSystemSpec, overlap_threshold: float = 0.6) -> float:
     """Mean exact SEDOR frequency over the m_s = +-3/2 manifolds."""
     energies, _, _ = label_eigenstates(spec, overlap_threshold)
     return 0.5 * (
-        0.5 * abs(_sedor_lambda(spec, 1.5, energies))
-        + 0.5 * abs(_sedor_lambda(spec, -1.5, energies))
+        0.5 * abs(_sedor_lambda(1.5, energies))
+        + 0.5 * abs(_sedor_lambda(-1.5, energies))
     )
 
 
@@ -204,7 +224,7 @@ class SecondOrderCorrection:
     cross terms.  delta2_0 and delta3_1 carry the m_s prefactor and are odd
     under m_s -> -m_s.  `total` resums the nuclear-flip denominators
     exactly (valid even when |m_s A_zz| is comparable to the nuclear
-    Zeeman splitting); `total_expanded` is the plain component sum.
+    Zeeman splitting).
     """
 
     delta1: float
@@ -213,10 +233,6 @@ class SecondOrderCorrection:
     delta3_0: float
     delta3_1: float
     total: float
-
-    @property
-    def total_expanded(self) -> float:
-        return self.delta1 + self.delta2_0 + self.delta2_1 + self.delta3_0 + self.delta3_1
 
 
 def sedor_correction_second_order(spec: SpinSystemSpec, m_s: float) -> SecondOrderCorrection:
@@ -318,8 +334,8 @@ def deviation_sweep(
         )
         spec = SpinSystemSpec(spec_template.d, field, nuclei, spec_template.pair_tensor)
         energies, _, _ = label_eigenstates(spec, overlap_threshold)
-        f_plus = 0.5 * abs(_sedor_lambda(spec, 1.5, energies))
-        f_minus = 0.5 * abs(_sedor_lambda(spec, -1.5, energies))
+        f_plus = 0.5 * abs(_sedor_lambda(1.5, energies))
+        f_minus = 0.5 * abs(_sedor_lambda(-1.5, energies))
         records.append(SweepRecord(phi1, phi2, "ms_plus_3_2", abs(f_plus - f0)))
         records.append(SweepRecord(phi1, phi2, "ms_minus_3_2", abs(f_minus - f0)))
         records.append(SweepRecord(phi1, phi2, "averaged", abs(0.5 * (f_plus + f_minus) - f0)))

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import FitError, InputError, InsufficientStatisticsError
 
@@ -142,6 +141,8 @@ def fit_rates(dwells, method: str = "mle") -> RateEstimate:
         return a * np.exp(-r * t)
 
     p0 = (float(counts.max()), 1.0 / d.mean())
+    from scipy.optimize import curve_fit
+
     try:
         popt, pcov = curve_fit(model, centers[keep], counts[keep], p0=p0, maxfev=10000)
     except RuntimeError as exc:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spinmap import fileio
+import spinmap
+from spinmap import cli, fileio
 from spinmap.cli import main
+from spinmap.errors import InversionError, NonConvergenceError
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "couplings_fixture.csv"
@@ -40,6 +46,65 @@ class TestExitCodes:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+
+    @pytest.mark.parametrize(
+        "exc, key, expected",
+        [
+            (InversionError("no real A_perp", residual=np.float64(12.5)), "residual", 12.5),
+            (
+                NonConvergenceError(
+                    "no convergence",
+                    diagnostics={"cost": np.float64(3.0), "x": np.array([1.0, -2.0])},
+                ),
+                "diagnostics",
+                {"cost": 3.0, "x": [1.0, -2.0]},
+            ),
+        ],
+    )
+    def test_error_details_in_stderr_json(self, tmp_path, capsys, monkeypatch, exc, key, expected):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "field_scan_min_aperp", fail)
+        freqs = tmp_path / "freqs.json"
+        freqs.write_text(json.dumps(
+            {"field_gauss": 1960.9, "spins": {"Si5": {"f_plus": 1.0, "f_minus": 2.0}}}
+        ))
+        dft = tmp_path / "dft.csv"
+        dft.write_text("label,A_zz_Hz,A_perp_Hz\nSi5,-150000.0,700.0\n")
+        rc = run(["calibrate", "--freqs", freqs, "--dft", dft, "--out", tmp_path / "c.json"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        data = json.loads(err)
+        assert data["error"] == exc.code
+        assert data[key] == expected
+
+
+class TestLazyScipy:
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        code = (
+            "import sys, numpy as np\n"
+            "import spinmap.cli\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "from spinmap.calibrate import bath_center_shift\n"
+            "from spinmap.spinphys import SI29, FieldConfig\n"
+            "from spinmap.telegraph import fit_rates\n"
+            "field = FieldConfig(b_z=1960.9)\n"
+            "f = abs(SI29.gyromagnetic_ratio) * field.b_z_tesla + np.linspace(-50, 50, 41)\n"
+            "a = np.exp(-0.5 * ((f - f[20] - 5.0) / 8.0) ** 2)\n"
+            "df, _ = bath_center_shift(f, a, SI29, field)\n"
+            "assert abs(df - 5.0) < 1e-6, df\n"
+            "d = np.random.default_rng(0).exponential(2.0, 500)\n"
+            "rate = fit_rates(d, 'histogram').rate\n"
+            "assert 0.4 < rate < 0.6, rate\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        src = str(Path(spinmap.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLatticeCommand:

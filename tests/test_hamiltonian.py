@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import strong_pair_spec, weak_pair_spec
 from spinmap.errors import InputError, LabelingError, SingularityError
 from spinmap.hamiltonian import (
     EigenstateLabel,
     SpinSystemSpec,
+    _sedor_lambda,
     all_labels,
     build_hamiltonian,
     deviation_sweep,
@@ -42,6 +45,66 @@ def secular_diagonal_oracle(spec):
     h += hf2.a_zz * k3(sz3, e2, iz)
     h += spec.pair_tensor[2, 2] * k3(e4, iz, iz)
     return np.diag(h)
+
+
+def _reference_hamiltonian(spec):
+    """The 16x16 Hamiltonian assembled term by term from Kronecker products,
+    in the same order of summation as build_hamiltonian."""
+    sx, sy, sz = spin_matrices(1.5)
+    ix, iy, iz = spin_matrices(0.5)
+    one_e = np.eye(4, dtype=complex)
+    one_n = np.eye(2, dtype=complex)
+
+    def kron3(a, b, c):
+        return np.kron(a, np.kron(b, c))
+
+    bx, by, bz = spec.field.b_vec_tesla
+    ge = spec.field.electron_gamma
+    h = spec.d * kron3(sz @ sz, one_n, one_n)
+    h += ge * (bx * kron3(sx, one_n, one_n) + by * kron3(sy, one_n, one_n) + bz * kron3(sz, one_n, one_n))
+    nuc_ops = [
+        (kron3(one_e, ix, one_n), kron3(one_e, iy, one_n), kron3(one_e, iz, one_n)),
+        (kron3(one_e, one_n, ix), kron3(one_e, one_n, iy), kron3(one_e, one_n, iz)),
+    ]
+    e_ops = (kron3(sx, one_n, one_n), kron3(sy, one_n, one_n), kron3(sz, one_n, one_n))
+    for (species, hf), (jx, jy, jz) in zip(spec.nuclei, nuc_ops):
+        gn = species.gyromagnetic_ratio
+        h += gn * (bx * jx + by * jy + bz * jz)
+        h += hf.a_zz * e_ops[2] @ jz
+        h += hf.a_zx * (e_ops[2] @ jx + e_ops[0] @ jz)
+        h += hf.a_zy * (e_ops[2] @ jy + e_ops[1] @ jz)
+    for a in range(3):
+        for b in range(3):
+            cab = spec.pair_tensor[a, b]
+            if cab != 0.0:
+                h += cab * nuc_ops[0][a] @ nuc_ops[1][b]
+    return h
+
+
+def _entry(limit):
+    """Zero or a signed value of magnitude in [1e-3, limit].
+
+    Entries stay out of the subnormal range, where the exact power-of-two
+    scalings inside the spin operators would round.
+    """
+    magnitude = st.floats(1e-3, limit)
+    return st.one_of(st.just(0.0), st.builds(lambda s, m: s * m, st.sampled_from((1.0, -1.0)), magnitude))
+
+
+@st.composite
+def drawn_specs(draw):
+    field = FieldConfig(
+        b_z=draw(st.floats(1.0, 5000.0)), b_x=draw(_entry(10.0)), b_y=draw(_entry(10.0))
+    )
+    nuclei = tuple(
+        (
+            draw(st.sampled_from((SI29, C13))),
+            HyperfineTensor(draw(_entry(5e6)), draw(_entry(2e5)), draw(_entry(2e5))),
+        )
+        for _ in range(2)
+    )
+    pair = np.array([[draw(_entry(5e3)) for _ in range(3)] for _ in range(3)])
+    return SpinSystemSpec(draw(st.floats(0.0, 70e6)), field, nuclei, pair)
 
 
 def random_spec(rng, d=35e6, b_perp=2.3, max_aperp=40e3):
@@ -181,6 +244,38 @@ class TestExactDiagonalization:
         )
         # agreement bounded by eigensolver precision eps * ||H|| ~ 2e-6 Hz
         assert sedor_frequency_exact(rotated, 1.5) == pytest.approx(f_ref, abs=1e-4)
+
+
+class TestCachedOperators:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_specs())
+    def test_build_hamiltonian_bit_identical_to_kron_assembly(self, spec):
+        h = build_hamiltonian(spec)
+        ref = _reference_hamiltonian(spec)
+        assert np.array_equal(h, ref)
+        # signed zeros too: eigh's Householder reflections read signs
+        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+
+    def test_repeated_builds_do_not_share_state(self, params):
+        spec = strong_pair_spec(params, b_x=2.3)
+        first = build_hamiltonian(spec)
+        first += 1.0
+        assert np.array_equal(build_hamiltonian(spec), _reference_hamiltonian(spec))
+
+    @pytest.mark.parametrize("m_s", [1.5, 0.5, -0.5, -1.5])
+    def test_sedor_lambda_matches_label_form(self, params, m_s):
+        energies, _, _ = label_eigenstates(strong_pair_spec(params, b_x=2.3))
+        random_energies = np.random.default_rng(3).normal(size=16)
+        for e in (energies, random_energies):
+            def at(m1, m2):
+                return e[EigenstateLabel(m_s, m1, m2).basis_index]
+
+            expected = at(0.5, 0.5) + at(-0.5, -0.5) - at(-0.5, 0.5) - at(0.5, -0.5)
+            assert _sedor_lambda(m_s, e) == expected
+
+    def test_sedor_lambda_rejects_unknown_projection(self):
+        with pytest.raises(InputError):
+            _sedor_lambda(1.0, np.zeros(16))
 
 
 class TestSecondOrder:
