@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .calibrate import calibrate_from_scans, field_scan_min_aperp
-from .errors import SpinMapError
+from .errors import InputError, RecoveryError, SpinMapError
 from .lattice import LatticeParams, SiteTable, build_lattice
 from .placement import (
     PlacementConfig,
@@ -96,7 +96,7 @@ def _placement_config(args) -> PlacementConfig:
             a, b = pair.split(":")
             overrides[(a, b)] = float(val)
         except ValueError:
-            raise SpinMapError(f"bad --override {spec!r}; expected A:B=tol") from None
+            raise InputError(f"bad --override {spec!r}; expected A:B=tol") from None
     return PlacementConfig(
         tolerance_default=args.tolerance,
         tolerance_overrides=overrides,
@@ -175,7 +175,7 @@ def _read_dft_csv(path):
         reader = csv.DictReader(fh)
         expect = ["label", "A_zz_Hz", "A_perp_Hz"]
         if reader.fieldnames != expect:
-            raise SpinMapError(f"{path}: expected columns {expect}")
+            raise InputError(f"{path}: expected columns {expect}")
         for row in reader:
             out[row["label"]] = HyperfineTensor(
                 float(row["A_zz_Hz"]), float(row["A_perp_Hz"]), 0.0
@@ -284,7 +284,7 @@ def _cluster_from_truth_file(path, table):
     for lab, entry in data["truth"].items():
         idx = table.index_of_position(np.array(entry["position"], dtype=float))
         if idx is None:
-            raise SpinMapError(f"{path}: site for {lab} not on the configured lattice")
+            raise InputError(f"{path}: site for {lab} not on the configured lattice")
         truth[lab] = table.sites[idx]
     return SyntheticCluster(truth, NoiseModel(), tuple(data.get("seed", (0,))))
 
@@ -308,7 +308,7 @@ def cmd_synth_couplings(args):
 def cmd_synth_telegraph(args):
     rates = tuple(float(x) for x in args.rates.split(","))
     if len(rates) != 2:
-        raise SpinMapError("--rates expects bright_to_dark,dark_to_bright")
+        raise InputError("--rates expects bright_to_dark,dark_to_bright")
     trace = emit_telegraph(
         rates, args.bright_cps, args.dark_cps, not args.no_shot_noise,
         args.duration, args.dt, args.seed,
@@ -414,7 +414,7 @@ def cmd_reproduce(args):
         f"solutions={len(solutions)} -> {workdir}"
     )
     if not (recovered and report["unique"]):
-        raise SpinMapError("reproduce pipeline did not uniquely recover the ground truth")
+        raise RecoveryError("reproduce pipeline did not uniquely recover the ground truth")
     return 0
 
 
@@ -602,7 +602,7 @@ def _apply_config_defaults(parser, argv):
         elif section in by_name:
             by_name[section].set_defaults(**{dest: value})
         else:
-            raise SpinMapError(f"config section {section!r} is not a subcommand")
+            raise InputError(f"config section {section!r} is not a subcommand")
     return argv
 
 

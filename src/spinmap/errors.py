@@ -99,6 +99,12 @@ class NonConvergenceError(SpinMapError):
         return {**super().payload(), "diagnostics": _plain(self.diagnostics)}
 
 
+class RecoveryError(SpinMapError):
+    """A pipeline run did not uniquely recover its own ground truth."""
+
+    code = "recovery"
+
+
 class InputError(SpinMapError):
     """Malformed input file or configuration value."""
 

@@ -9,7 +9,7 @@ frequency equals |C_zz|/2; the exact spectrum quantifies every deviation
 from that and is used to derive per-pair placement tolerances.
 """
 
-import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,31 +124,44 @@ def _operators():
 _SZ2, _E_OPS, _NUC_OPS, _HF_OPS, _PAIR_OPS = _operators()
 
 
-def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
-    """Dense 16x16 Hamiltonian in Hz (Hermitian)."""
+def _hamiltonians(d, field, nuclei, pair_tensor):
+    """Dense Hamiltonian(s) in Hz: (16, 16), or (B, 16, 16) when a
+    transverse hyperfine entry is a (B, 1, 1) array.
+
+    nuclei: per nucleus (species, a_zz, a_zx, a_zy); a_zx and a_zy may be
+    scalars or (B, 1, 1) arrays, one value per stacked Hamiltonian.
+    """
     # Each entry of a cached operator product is one product of two matrix
     # entries, one of them a spin-1/2 entry (+-1/2 or +-i/2), so scaling the
     # product gives the same bits as multiplying a scaled operator.  Keep the
     # order of the additions: summing the terms in another order changes the
-    # rounding of the spectrum.
-    bx, by, bz = spec.field.b_vec_tesla
-    ge = spec.field.electron_gamma
+    # rounding of the spectrum.  The A_zx and A_zy terms are added out of
+    # place, so a stacked one broadcasts h to (B, 16, 16) with the same
+    # elementwise sums.
+    bx, by, bz = field.b_vec_tesla
+    ge = field.electron_gamma
     ex, ey, ez = _E_OPS
-    h = spec.d * _SZ2
+    h = d * _SZ2
     h += ge * (bx * ex + by * ey + bz * ez)
-    for (species, hf), (jx, jy, jz), (hzz, hzx, hzy) in zip(spec.nuclei, _NUC_OPS, _HF_OPS):
+    for (species, a_zz, a_zx, a_zy), (jx, jy, jz), (hzz, hzx, hzy) in zip(nuclei, _NUC_OPS, _HF_OPS):
         gn = species.gyromagnetic_ratio
         h += gn * (bx * jx + by * jy + bz * jz)
         # measured z-row plus its symmetric transpose
-        h += hf.a_zz * hzz
-        h += hf.a_zx * hzx
-        h += hf.a_zy * hzy
+        h += a_zz * hzz
+        h = h + a_zx * hzx
+        h = h + a_zy * hzy
     for a in range(3):
         for b in range(3):
-            cab = spec.pair_tensor[a, b]
+            cab = pair_tensor[a, b]
             if cab != 0.0:
                 h += cab * _PAIR_OPS[a][b]
     return h
+
+
+def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
+    """Dense 16x16 Hamiltonian in Hz (Hermitian)."""
+    nuclei = [(sp, hf.a_zz, hf.a_zx, hf.a_zy) for sp, hf in spec.nuclei]
+    return _hamiltonians(spec.d, spec.field, nuclei, spec.pair_tensor)
 
 
 def eigenenergy_zeroth(spec: SpinSystemSpec, label: EigenstateLabel) -> float:
@@ -168,6 +181,31 @@ def eigenenergy_zeroth(spec: SpinSystemSpec, label: EigenstateLabel) -> float:
     )
 
 
+def _label(hs, overlap_threshold):
+    """Diagonalize a (B, 16, 16) stack in one call and match each point's
+    eigenstates to secular basis labels.
+
+    Returns (energies_by_basis_index, eigenvalues, eigenvectors), each with
+    the leading B axis.  The first point that fails a check raises.
+    """
+    if not np.isfinite(hs).all():
+        raise InputError("the Hamiltonian has non-finite entries")
+    evals, evecs = np.linalg.eigh(hs)
+    overlap = np.abs(evecs) ** 2  # overlap[point, basis, eig]
+    assignment = np.argmax(overlap, axis=2)
+    best = overlap.max(axis=2)  # the entries argmax picked
+    for row_assignment, row_best in zip(assignment, best):
+        if len(set(row_assignment.tolist())) != 16:
+            raise LabelingError("eigenstate-to-label assignment is not one-to-one")
+        if row_best.min() < overlap_threshold:
+            idx = int(np.argmin(row_best))
+            raise LabelingError(
+                f"basis state {idx} has max overlap {row_best.min():.3f} < {overlap_threshold}"
+            )
+    energies = np.real(evals[np.arange(len(evals))[:, None], assignment])
+    return energies, evals, evecs
+
+
 def label_eigenstates(spec: SpinSystemSpec, overlap_threshold: float = 0.6):
     """Diagonalize and match eigenstates to secular basis labels.
 
@@ -175,20 +213,8 @@ def label_eigenstates(spec: SpinSystemSpec, overlap_threshold: float = 0.6):
     loudly when the best overlap drops below the threshold or the match is
     not one-to-one (near level crossings).
     """
-    h = build_hamiltonian(spec)
-    evals, evecs = np.linalg.eigh(h)
-    overlap = np.abs(evecs) ** 2  # overlap[basis, eig]
-    assignment = np.argmax(overlap, axis=1)
-    best = overlap[np.arange(16), assignment]
-    if len(set(assignment.tolist())) != 16:
-        raise LabelingError("eigenstate-to-label assignment is not one-to-one")
-    if best.min() < overlap_threshold:
-        idx = int(np.argmin(best))
-        raise LabelingError(
-            f"basis state {idx} has max overlap {best.min():.3f} < {overlap_threshold}"
-        )
-    energies = np.real(evals[assignment])
-    return energies, evals, evecs
+    energies, evals, evecs = _label(build_hamiltonian(spec)[None], overlap_threshold)
+    return energies[0], evals[0], evecs[0]
 
 
 def _sedor_lambda(m_s: float, energies) -> float:
@@ -310,6 +336,9 @@ class SweepResult:
         return max(vals)
 
 
+_BLOCK = 16  # grid points per stacked build and eigensolve; larger stacks raise peak memory
+
+
 def deviation_sweep(
     spec_template: SpinSystemSpec,
     phi_grid,
@@ -319,26 +348,44 @@ def deviation_sweep(
     """Sweep both nuclei's transverse hyperfine phases (A_zx = cos(phi) A_perp)
     at fixed transverse field (G, applied along x) and record the worst-case
     deviation of the exact SEDOR frequency from |C_zz|/2 per averaging mode.
+
+    The (phi1, phi2) grid is diagonalized in blocks of _BLOCK points: one
+    stacked Hamiltonian build and one batched eigensolve per block, with the
+    same bits as building and diagonalizing each point on its own.
     """
     phis = list(phi_grid)
     if not phis:
         raise InputError("phi_grid must be non-empty")
+    if not all(map(math.isfinite, phis)) or not math.isfinite(transverse_field):
+        raise InputError("phi_grid and transverse_field must be finite")
     field = replace(spec_template.field, b_x=transverse_field, b_y=0.0)
-    (sp1, hf1), (sp2, hf2) = spec_template.nuclei
+    rows = []
+    for species, hf in spec_template.nuclei:
+        tensors = [HyperfineTensor.from_perp(hf.a_zz, hf.a_perp, phi) for phi in phis]
+        a_zx = np.array([t.a_zx for t in tensors])[:, None, None]
+        a_zy = np.array([t.a_zy for t in tensors])[:, None, None]
+        rows.append((species, hf.a_zz, a_zx, a_zy))
+    (sp1, a_zz1, zx1, zy1), (sp2, a_zz2, zx2, zy2) = rows
     f0 = 0.5 * abs(spec_template.c_zz)
+    # grid point k is (phis[k // n], phis[k % n]), the order of product(phis, phis)
+    i1, i2 = np.divmod(np.arange(len(phis) ** 2), len(phis))
     records = []
-    for phi1, phi2 in itertools.product(phis, phis):
-        nuclei = (
-            (sp1, HyperfineTensor.from_perp(hf1.a_zz, hf1.a_perp, phi1)),
-            (sp2, HyperfineTensor.from_perp(hf2.a_zz, hf2.a_perp, phi2)),
+    for start in range(0, len(i1), _BLOCK):
+        b1, b2 = i1[start:start + _BLOCK], i2[start:start + _BLOCK]
+        nuclei = ((sp1, a_zz1, zx1[b1], zy1[b1]), (sp2, a_zz2, zx2[b2], zy2[b2]))
+        hs = _hamiltonians(spec_template.d, field, nuclei, spec_template.pair_tensor)
+        energies, _, _ = _label(hs, overlap_threshold)
+        # energies.T[k] holds basis state k's energy at each point of the block
+        f_plus = 0.5 * np.abs(_sedor_lambda(1.5, energies.T))
+        f_minus = 0.5 * np.abs(_sedor_lambda(-1.5, energies.T))
+        deviations = zip(
+            np.abs(f_plus - f0), np.abs(f_minus - f0), np.abs(0.5 * (f_plus + f_minus) - f0)
         )
-        spec = SpinSystemSpec(spec_template.d, field, nuclei, spec_template.pair_tensor)
-        energies, _, _ = label_eigenstates(spec, overlap_threshold)
-        f_plus = 0.5 * abs(_sedor_lambda(1.5, energies))
-        f_minus = 0.5 * abs(_sedor_lambda(-1.5, energies))
-        records.append(SweepRecord(phi1, phi2, "ms_plus_3_2", abs(f_plus - f0)))
-        records.append(SweepRecord(phi1, phi2, "ms_minus_3_2", abs(f_minus - f0)))
-        records.append(SweepRecord(phi1, phi2, "averaged", abs(0.5 * (f_plus + f_minus) - f0)))
+        for k1, k2, (dev_plus, dev_minus, dev_averaged) in zip(b1, b2, deviations):
+            phi1, phi2 = phis[k1], phis[k2]
+            records.append(SweepRecord(phi1, phi2, "ms_plus_3_2", dev_plus))
+            records.append(SweepRecord(phi1, phi2, "ms_minus_3_2", dev_minus))
+            records.append(SweepRecord(phi1, phi2, "averaged", dev_averaged))
     records = tuple(records)
     max_single = max(
         r.deviation for r in records if r.mode in ("ms_plus_3_2", "ms_minus_3_2")

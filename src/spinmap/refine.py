@@ -43,7 +43,7 @@ class RefinementResult:
     residual: float  # Hz^2
     displacements: DisplacementReport
     n_iterations: int
-    converged_by: str  # gradient | step
+    converged_by: str  # gradient | step | cost
     gradient_norm: float
     hessian_condition: float
     underdetermined: bool
@@ -182,8 +182,9 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
 
     initial: PlacementSolution or mapping label -> position (angstrom).
     Residuals only ever decrease across accepted steps; convergence is by
-    gradient norm or step size, otherwise NonConvergenceError carries the
-    last iterate.
+    gradient norm, step size or stagnating cost (converged_by "gradient",
+    "step" or "cost"), otherwise NonConvergenceError carries the last
+    iterate.
     """
     base = initial.positions() if hasattr(initial, "positions") else dict(initial)
     base = {lab: np.asarray(p, dtype=float) for lab, p in base.items()}
@@ -217,7 +218,6 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
 
     pos = param.apply(base, x)
     r, jac = _residual_vector_and_jacobian(pos, terms, signs, param)
-    jtj = jac.T @ jac
     sv = np.linalg.svd(jac, compute_uv=False) if jac.size else np.array([0.0])
     tol_rank = max(jac.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int((sv > tol_rank).sum())

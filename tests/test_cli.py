@@ -81,6 +81,20 @@ class TestExitCodes:
         assert data["error"] == exc.code
         assert data[key] == expected
 
+    def test_failed_recovery_has_typed_code(self, tmp_path, capsys, monkeypatch):
+        # no solution's canonical form can equal the truth's
+        monkeypatch.setattr(cli, "canonical_assignment", lambda table, idx, ops: object())
+        rc = run(["reproduce", "--seed", "1", "--workdir", tmp_path / "w"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "recovery"
+
+    def test_bad_flag_value_is_input_error(self, tmp_path, capsys):
+        rc = run(["synth", "telegraph", "--rates", "0.2", "--out", tmp_path / "t.csv"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
+
 
 class TestLazyScipy:
     def test_cli_import_leaves_scipy_optimize_out(self):

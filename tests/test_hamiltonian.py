@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,12 @@ from hypothesis import strategies as st
 from conftest import strong_pair_spec, weak_pair_spec
 from spinmap.errors import InputError, LabelingError, SingularityError
 from spinmap.hamiltonian import (
+    _BLOCK,
     EigenstateLabel,
     SpinSystemSpec,
+    SweepRecord,
+    SweepResult,
+    _label,
     _sedor_lambda,
     all_labels,
     build_hamiltonian,
@@ -128,6 +134,61 @@ def random_spec(rng, d=35e6, b_perp=2.3, max_aperp=40e3):
     phi_b = rng.uniform(0, 2 * math.pi)
     field = FieldConfig(1960.9, b_perp * math.cos(phi_b), b_perp * math.sin(phi_b))
     return SpinSystemSpec.from_geometry(d, field, (SI29, hf1, p1), (sp2, hf2, p2))
+
+
+def _reference_label(spec, overlap_threshold):
+    """Energies by basis index from one 16x16 eigensolve, labelled as
+    label_eigenstates did before the sweep was batched."""
+    evals, evecs = np.linalg.eigh(build_hamiltonian(spec))
+    overlap = np.abs(evecs) ** 2
+    assignment = np.argmax(overlap, axis=1)
+    best = overlap[np.arange(16), assignment]
+    if len(set(assignment.tolist())) != 16:
+        raise LabelingError("eigenstate-to-label assignment is not one-to-one")
+    if best.min() < overlap_threshold:
+        idx = int(np.argmin(best))
+        raise LabelingError(
+            f"basis state {idx} has max overlap {best.min():.3f} < {overlap_threshold}"
+        )
+    return np.real(evals[assignment])
+
+
+def _reference_sweep(spec_template, phis, transverse_field, overlap_threshold=0.6):
+    """deviation_sweep as a loop of one build and one eigensolve per grid point."""
+    field = replace(spec_template.field, b_x=transverse_field, b_y=0.0)
+    (sp1, hf1), (sp2, hf2) = spec_template.nuclei
+    f0 = 0.5 * abs(spec_template.c_zz)
+    records = []
+    for phi1, phi2 in itertools.product(phis, phis):
+        nuclei = (
+            (sp1, HyperfineTensor.from_perp(hf1.a_zz, hf1.a_perp, phi1)),
+            (sp2, HyperfineTensor.from_perp(hf2.a_zz, hf2.a_perp, phi2)),
+        )
+        spec = SpinSystemSpec(spec_template.d, field, nuclei, spec_template.pair_tensor)
+        e = _reference_label(spec, overlap_threshold)
+        f_plus = 0.5 * abs(e[0] + e[3] - e[2] - e[1])
+        f_minus = 0.5 * abs(e[12] + e[15] - e[14] - e[13])
+        records.append(SweepRecord(phi1, phi2, "ms_plus_3_2", abs(f_plus - f0)))
+        records.append(SweepRecord(phi1, phi2, "ms_minus_3_2", abs(f_minus - f0)))
+        records.append(SweepRecord(phi1, phi2, "averaged", abs(0.5 * (f_plus + f_minus) - f0)))
+    max_single = max(r.deviation for r in records if r.mode != "averaged")
+    max_averaged = max(r.deviation for r in records if r.mode == "averaged")
+    return SweepResult(tuple(records), max_single, max_averaged)
+
+
+def _bits(x):
+    return type(x), np.float64(x).tobytes()
+
+
+def _sweep_outcome(sweep, *args):
+    """A sweep's records and maxima, deviations by type and bytes, or the
+    message of the LabelingError it raised."""
+    try:
+        result = sweep(*args)
+    except LabelingError as exc:
+        return str(exc)
+    records = [(r.phi1, r.phi2, r.mode, _bits(r.deviation)) for r in result.records]
+    return records, _bits(result.max_single), _bits(result.max_averaged)
 
 
 class TestSpinMatrices:
@@ -395,6 +456,75 @@ class TestDeviationSweep:
     def test_empty_grid_rejected(self, params):
         with pytest.raises(InputError):
             deviation_sweep(strong_pair_spec(params), [])
+
+    @pytest.mark.parametrize(
+        "phis, field", [([0.0, math.nan], 2.3), ([math.inf], 2.3), ([0.0, 1.0], math.inf)]
+    )
+    def test_non_finite_input_rejected(self, params, phis, field):
+        with pytest.raises(InputError):
+            deviation_sweep(strong_pair_spec(params), phis, transverse_field=field)
+
+
+class TestBlockedSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        drawn_specs(),
+        st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=7),
+        st.sampled_from((0.0, 2.3)),
+        st.sampled_from((0.6, 0.999)),
+    )
+    def test_bit_identical_to_per_point_sweep(self, spec, phis, field, threshold):
+        # up to 49 grid points: several blocks, the last one partial
+        assert _sweep_outcome(deviation_sweep, spec, phis, field, threshold) == _sweep_outcome(
+            _reference_sweep, spec, phis, field, threshold
+        )
+
+    @pytest.mark.parametrize("swap, threshold", [(False, 0.999), (True, 0.9975)])
+    def test_first_failing_point_raises_the_reference_message(self, params, swap, threshold):
+        spec = strong_pair_spec(params)
+        if swap:
+            # only nucleus 1 has a transverse hyperfine term, so the overlap
+            # follows phi1 and the first point below 0.9975 is grid point 21,
+            # in the second block
+            spec = SpinSystemSpec(spec.d, spec.field, spec.nuclei[::-1], spec.pair_tensor.T)
+        phis = np.linspace(0, 2 * math.pi, 8)[:-1]
+        expected = _sweep_outcome(_reference_sweep, spec, phis, 2.3, threshold)
+        assert isinstance(expected, str) and expected.startswith("basis state")
+        assert _sweep_outcome(deviation_sweep, spec, phis, 2.3, threshold) == expected
+
+    def test_oracle_op_hands_68_matrices_to_eigh_in_blocks(self, params, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(math.prod(np.shape(a)[:-2]))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        # one benchmark oracle op: an 8x8 sweep and the exact frequency of
+        # two random specs in both m_s = +-3/2 manifolds
+        phis = 0.3 + 2 * math.pi * np.arange(8) / 8
+        deviation_sweep(strong_pair_spec(params), phis, transverse_field=2.3)
+        rng = np.random.default_rng(11)
+        for spec in (random_spec(rng), random_spec(rng)):
+            for ms in (1.5, -1.5):
+                sedor_frequency_exact(spec, ms)
+        assert sum(sizes) == 68
+        assert max(sizes) <= _BLOCK
+        assert len(sizes) == math.ceil(64 / _BLOCK) + 4
+
+    def test_non_finite_hamiltonian_rejected_before_eigh(self, params, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh reached with a non-finite Hamiltonian")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        spec = replace(strong_pair_spec(params), d=math.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(InputError):
+            label_eigenstates(spec)
+        hs = np.stack([build_hamiltonian(strong_pair_spec(params))] * 3)
+        hs[2, 5, 7] = complex(math.nan, 0.0)
+        with pytest.raises(InputError):
+            _label(hs, 0.6)
 
 
 def test_spec_validation_rejects_wrong_nucleus_count(field_1960):
