@@ -59,6 +59,7 @@ from .spinphys import (
     DipolarTensor,
     FieldConfig,
     HyperfineTensor,
+    Physics,
     SpinSpecies,
     dipolar_coupling,
     dipolar_tensor,

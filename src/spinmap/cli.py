@@ -34,7 +34,7 @@ from .sequences import (
     rotation_angle,
     SequenceParams,
 )
-from .spinphys import FieldConfig, HyperfineTensor, species_for_label
+from .spinphys import FieldConfig, HyperfineTensor, Physics, species_for_label
 from .synth import (
     ClusterStructure,
     NoiseModel,
@@ -47,6 +47,10 @@ from .telegraph import analyze_trace
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
+# Site-generation radius (A) of the commands that build a lattice: at least
+# minimum_search_radius(3.0, cluster_extent=11.0) for the default gammas.
+DEFAULT_LATTICE_RADIUS = 28.5
+
 
 def _require_inputs(*paths):
     for p in paths:
@@ -54,10 +58,10 @@ def _require_inputs(*paths):
             raise FileNotFoundError(p)
 
 
-def _emit_manifest(command, config, inputs, outputs):
+def _emit_manifest(command, config, inputs, outputs, physics):
     if not outputs:
         return
-    manifest = fileio.build_manifest(command, config, inputs, outputs)
+    manifest = fileio.build_manifest(command, config, inputs, outputs, physics)
     fileio.write_json(str(outputs[0]) + ".manifest.json", manifest)
 
 
@@ -76,19 +80,19 @@ def _add_lattice_args(p):
 # ---------------------------------------------------------------------------
 
 
-def cmd_lattice(args):
+def cmd_lattice(args, physics):
     params = _lattice_params(args)
     sites = build_lattice(params, args.radius)
     if args.format == "csv":
         fileio.write_lattice_csv(args.out, sites)
     else:
         fileio.write_lattice_json(args.out, sites)
-    _emit_manifest("lattice", vars(args) | {"func": None}, [], [args.out])
+    _emit_manifest("lattice", vars(args) | {"func": None}, [], [args.out], physics)
     print(f"{len(sites)} sites within {args.radius} A -> {args.out}")
     return 0
 
 
-def _placement_config(args) -> PlacementConfig:
+def _placement_config(args, physics) -> PlacementConfig:
     overrides = {}
     for spec in args.override or []:
         try:
@@ -105,15 +109,16 @@ def _placement_config(args) -> PlacementConfig:
         min_detectable=args.min_detectable,
         max_branches=args.max_branches,
         anchor=args.anchor,
+        physics=physics,
     )
 
 
-def cmd_place(args):
+def cmd_place(args, physics):
     _require_inputs(args.couplings)
     measurements = fileio.read_couplings(args.couplings)
     params = _lattice_params(args)
     table = SiteTable(build_lattice(params, args.lattice_radius))
-    config = _placement_config(args)
+    config = _placement_config(args, physics)
     solutions = place_all(measurements, table, config)
     fileio.write_solutions_json(
         args.out,
@@ -122,16 +127,17 @@ def cmd_place(args):
         meta={"n_measurements": len(measurements), "anchor": config.anchor},
     )
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _emit_manifest("place", cfg, [args.couplings], [args.out])
+    _emit_manifest("place", cfg, [args.couplings], [args.out], physics)
     print(f"{len(solutions)} solution(s) -> {args.out}")
     return 0
 
 
-def cmd_refine(args):
+def cmd_refine(args, physics):
     _require_inputs(args.solution, args.couplings)
     positions = fileio.read_solution_positions(args.solution, args.index)
     measurements = fileio.read_couplings(args.couplings)
-    result = refine(positions, measurements, RefinementConfig(anchor=args.anchor))
+    config = RefinementConfig(anchor=args.anchor, physics=physics)
+    result = refine(positions, measurements, config)
     payload = {
         "positions": {lab: [float(v) for v in p] for lab, p in sorted(result.positions.items())},
         "residual_hz2": result.residual,
@@ -148,7 +154,7 @@ def cmd_refine(args):
     }
     fileio.write_json(args.out, payload)
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _emit_manifest("refine", cfg, [args.solution, args.couplings], [args.out])
+    _emit_manifest("refine", cfg, [args.solution, args.couplings], [args.out], physics)
     print(
         f"residual {result.residual:.6g} Hz^2, mean shift "
         f"{result.displacements.mean:.3f} A -> {args.out}"
@@ -183,7 +189,7 @@ def _read_dft_csv(path):
     return out
 
 
-def cmd_calibrate(args):
+def cmd_calibrate(args, physics):
     _require_inputs(args.freqs, args.dft)
     field, spins = _read_freqs_file(args.freqs)
     field = FieldConfig(field.b_z, field.b_x, field.b_y, args.g_baseline)
@@ -194,7 +200,7 @@ def cmd_calibrate(args):
         if lab not in dft:
             continue
         scans[lab] = field_scan_min_aperp(
-            fp, fm, dft[lab], field, species_for_label(lab), grid, subs
+            fp, fm, dft[lab], field, species_for_label(lab, physics), grid, subs
         )
     result = calibrate_from_scans(scans, args.delta_b_unc, field)
     payload = {
@@ -206,12 +212,12 @@ def cmd_calibrate(args):
     }
     fileio.write_json(args.out, payload)
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _emit_manifest("calibrate", cfg, [args.freqs, args.dft], [args.out])
+    _emit_manifest("calibrate", cfg, [args.freqs, args.dft], [args.out], physics)
     print(f"g = {result.g_factor:.4f} +- {result.g_uncertainty:.4f} -> {args.out}")
     return 0
 
 
-def cmd_telegraph(args):
+def cmd_telegraph(args, physics):
     _require_inputs(args.trace)
     trace = fileio.read_trace_csv(args.trace)
     result = analyze_trace(trace, args.window, args.threshold, args.method)
@@ -227,7 +233,7 @@ def cmd_telegraph(args):
     }
     fileio.write_json(args.out, payload)
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _emit_manifest("telegraph", cfg, [args.trace], [args.out])
+    _emit_manifest("telegraph", cfg, [args.trace], [args.out], physics)
     print(
         f"bright->dark {result.rate_bright_to_dark.rate:.3f} Hz, dark->bright "
         f"{result.rate_dark_to_bright.rate:.3f} Hz -> {args.out}"
@@ -235,7 +241,7 @@ def cmd_telegraph(args):
     return 0
 
 
-def cmd_ddrf_calc(args):
+def cmd_ddrf_calc(args, physics):
     phase = ddrf_phase_update(args.omega0, args.omega1, args.omega_rf, args.tau)
     om_eff = effective_rabi(args.rabi, args.omega0, args.omega1, args.omega_rf, args.tau)
     theta = rotation_angle(
@@ -256,13 +262,14 @@ def cmd_ddrf_calc(args):
     return 0
 
 
-def cmd_synth_cluster(args):
+def cmd_synth_cluster(args, physics):
     params = _lattice_params(args)
     table = SiteTable(build_lattice(params, args.lattice_radius))
     structure = ClusterStructure("clustered", args.clusters, args.size_min, args.size_max)
     cluster = generate_connected_cluster(
         table, args.n_si, args.n_c, structure, seed=args.seed,
         noise=NoiseModel(args.noise, args.sigma), min_detectable=args.min_detectable,
+        physics=physics,
     )
     payload = {
         "seed": list(cluster.seed),
@@ -271,7 +278,7 @@ def cmd_synth_cluster(args):
     }
     fileio.write_json(args.out, payload)
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _emit_manifest("synth-cluster", cfg, [], [args.out])
+    _emit_manifest("synth-cluster", cfg, [], [args.out], physics)
     print(f"{len(cluster.truth)} spins -> {args.out}")
     return 0
 
@@ -289,23 +296,23 @@ def _cluster_from_truth_file(path, table):
     return SyntheticCluster(truth, NoiseModel(), tuple(data.get("seed", (0,))))
 
 
-def cmd_synth_couplings(args):
+def cmd_synth_couplings(args, physics):
     _require_inputs(args.truth)
     params = _lattice_params(args)
     table = SiteTable(build_lattice(params, args.lattice_radius))
     cluster = _cluster_from_truth_file(args.truth, table)
     measurements = emit_couplings(
         cluster, table, args.min_detectable,
-        NoiseModel(args.noise, args.sigma), seed=args.seed,
+        NoiseModel(args.noise, args.sigma), seed=args.seed, physics=physics,
     )
     fileio.write_couplings_csv(args.out, measurements)
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _emit_manifest("synth-couplings", cfg, [args.truth], [args.out])
+    _emit_manifest("synth-couplings", cfg, [args.truth], [args.out], physics)
     print(f"{len(measurements)} couplings -> {args.out}")
     return 0
 
 
-def cmd_synth_telegraph(args):
+def cmd_synth_telegraph(args, physics):
     rates = tuple(float(x) for x in args.rates.split(","))
     if len(rates) != 2:
         raise InputError("--rates expects bright_to_dark,dark_to_bright")
@@ -315,12 +322,12 @@ def cmd_synth_telegraph(args):
     )
     fileio.write_trace_csv(args.out, trace)
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _emit_manifest("synth-telegraph", cfg, [], [args.out])
+    _emit_manifest("synth-telegraph", cfg, [], [args.out], physics)
     print(f"{trace.counts.size} bins -> {args.out}")
     return 0
 
 
-def cmd_export_graph(args):
+def cmd_export_graph(args, physics):
     _require_inputs(args.couplings, args.solution)
     measurements = fileio.read_couplings(args.couplings)
     positions = None
@@ -333,12 +340,12 @@ def cmd_export_graph(args):
         Path(args.dot).write_text(fileio.graph_to_dot(graph))
         outputs.append(args.dot)
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _emit_manifest("export-graph", cfg, [args.couplings], outputs)
+    _emit_manifest("export-graph", cfg, [args.couplings], outputs, physics)
     print(f"{len(graph['nodes'])} nodes, {len(graph['edges'])} edges -> {args.out}")
     return 0
 
 
-def cmd_reproduce(args):
+def cmd_reproduce(args, physics):
     """synth -> place -> refine -> report, with recovery assertion."""
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -346,7 +353,8 @@ def cmd_reproduce(args):
     table = SiteTable(build_lattice(params, args.lattice_radius))
     structure = ClusterStructure("clustered", 4, 5, 7)
     cluster = generate_connected_cluster(
-        table, 22, 3, structure, seed=args.seed, noise=NoiseModel("gaussian", 0.2, 3.0)
+        table, 22, 3, structure, seed=args.seed, noise=NoiseModel("gaussian", 0.2, 3.0),
+        physics=physics,
     )
     truth_path = workdir / "truth.json"
     fileio.write_json(
@@ -356,12 +364,11 @@ def cmd_reproduce(args):
             "truth": {lab: fileio.site_to_dict(s) for lab, s in sorted(cluster.truth.items())},
         },
     )
-    measurements = emit_couplings(cluster, table, 3.0)
+    measurements = emit_couplings(cluster, table, 3.0, physics=physics)
     couplings_path = workdir / "couplings.csv"
     fileio.write_couplings_csv(couplings_path, measurements)
 
-    config = PlacementConfig()
-    solutions = place_all(measurements, table, config)
+    solutions = place_all(measurements, table, PlacementConfig(physics=physics))
     solutions_path = workdir / "solutions.json"
     fileio.write_solutions_json(solutions_path, solutions, ambiguity_report(solutions))
 
@@ -378,7 +385,7 @@ def cmd_reproduce(args):
         if canon == truth_canon:
             recovered = True
 
-    result = refine(solutions[0], measurements)
+    result = refine(solutions[0], measurements, RefinementConfig(physics=physics))
     refined_path = workdir / "refined.json"
     fileio.write_json(
         refined_path,
@@ -406,7 +413,7 @@ def cmd_reproduce(args):
     # manifest is workdir-relative so identical runs compare byte-equal
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "workdir")}
     outputs = [truth_path, couplings_path, solutions_path, refined_path, report_path]
-    manifest = fileio.build_manifest("reproduce", cfg, [], outputs)
+    manifest = fileio.build_manifest("reproduce", cfg, [], outputs, physics)
     manifest["outputs"] = {Path(p).name: h for p, h in manifest["outputs"].items()}
     fileio.write_json(workdir / "manifest.json", manifest)
     print(
@@ -421,10 +428,8 @@ def cmd_reproduce(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_constants(args):
-    from .constants import constants_table
-
-    print(fileio.canonical_json(constants_table()), end="")
+def cmd_constants(args, physics):
+    print(fileio.canonical_json(physics.constants_table()), end="")
     return 0
 
 
@@ -458,7 +463,8 @@ def build_parser():
     p = sub.add_parser("place", help="branch-and-prune spin placement")
     _add_lattice_args(p)
     p.add_argument("--couplings", required=True)
-    p.add_argument("--lattice-radius", type=float, default=28.5, dest="lattice_radius",
+    p.add_argument("--lattice-radius", type=float, default=DEFAULT_LATTICE_RADIUS,
+                   dest="lattice_radius",
                    help="site generation radius; default covers 3 Hz reach at 11 A extent")
     p.add_argument("--tolerance", type=float, default=0.6)
     p.add_argument("--override", action="append", metavar="A:B=TOL",
@@ -518,7 +524,8 @@ def build_parser():
 
     ps = synth_sub.add_parser("cluster", help="ground-truth cluster")
     _add_lattice_args(ps)
-    ps.add_argument("--lattice-radius", type=float, default=28.5, dest="lattice_radius")
+    ps.add_argument("--lattice-radius", type=float, default=DEFAULT_LATTICE_RADIUS,
+                    dest="lattice_radius")
     ps.add_argument("--n-si", type=int, default=22, dest="n_si")
     ps.add_argument("--n-c", type=int, default=3, dest="n_c")
     ps.add_argument("--clusters", type=int, default=4)
@@ -535,7 +542,8 @@ def build_parser():
     ps = synth_sub.add_parser("couplings", help="noisy coupling table from a truth file")
     _add_lattice_args(ps)
     ps.add_argument("--truth", required=True)
-    ps.add_argument("--lattice-radius", type=float, default=28.5, dest="lattice_radius")
+    ps.add_argument("--lattice-radius", type=float, default=DEFAULT_LATTICE_RADIUS,
+                    dest="lattice_radius")
     ps.add_argument("--noise", choices=("gaussian", "uniform", "none"), default="gaussian")
     ps.add_argument("--sigma", type=float, default=0.2)
     ps.add_argument("--min-detectable", type=float, default=3.0, dest="min_detectable")
@@ -568,7 +576,8 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="end-to-end synth->place->refine pipeline")
     _add_lattice_args(p)
-    p.add_argument("--lattice-radius", type=float, default=28.5, dest="lattice_radius",
+    p.add_argument("--lattice-radius", type=float, default=DEFAULT_LATTICE_RADIUS,
+                   dest="lattice_radius",
                    help="site generation radius; default covers 3 Hz reach at 11 A extent")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workdir", default="reproduce_out")
@@ -620,12 +629,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
-    if getattr(args, "gamma_si29", None) is not None or getattr(args, "gamma_c13", None) is not None:
-        from .spinphys import configure_gammas
-
-        configure_gammas(args.gamma_si29, args.gamma_c13)
     try:
-        return args.func(args)
+        return args.func(args, Physics.from_gammas(args.gamma_si29, args.gamma_c13))
     except FileNotFoundError as exc:
         print(f"error: input file not found: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -21,8 +21,8 @@ MU_BOHR = 9.2740100783e-24      # Bohr magneton, J/T
 GAUSS_TO_TESLA = 1e-4
 ANGSTROM_TO_METER = 1e-10
 
-# Gyromagnetic ratios, Hz/T (signed literature values, configurable at call
-# sites that accept a SpinSpecies).
+# Gyromagnetic ratios, Hz/T (signed literature values; spinphys.Physics
+# carries the values a run actually uses).
 GAMMA_SI29 = -8.465e6
 GAMMA_C13 = +10.7084e6
 
@@ -45,14 +45,15 @@ def gauss_to_tesla(b_gauss: float) -> float:
     return b_gauss * GAUSS_TO_TESLA
 
 
-def constants_table() -> dict:
-    """Machine-readable constant table (embedded in run manifests)."""
+def constants_table(gamma_si29: float = GAMMA_SI29, gamma_c13: float = GAMMA_C13) -> dict:
+    """Machine-readable constant table (embedded in run manifests), with
+    the nuclear gyromagnetic ratios a run used."""
     return {
         "mu0_T2m3_per_J": MU0,
         "h_Js": H_PLANCK,
         "mu_bohr_J_per_T": MU_BOHR,
-        "gamma_si29_Hz_per_T": GAMMA_SI29,
-        "gamma_c13_Hz_per_T": GAMMA_C13,
+        "gamma_si29_Hz_per_T": gamma_si29,
+        "gamma_c13_Hz_per_T": gamma_c13,
         "g_electron_default": G_ELECTRON_DEFAULT,
         "dipole_prefactor_Hz_A3_per_gamma2": DIPOLE_PREFACTOR,
         "gauss_to_tesla": GAUSS_TO_TESLA,

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InputError
 from .lattice import LatticeSite
 from .placement import CouplingMeasurement
+from .spinphys import DEFAULT_PHYSICS
 from .telegraph import TimeTrace
 
 COUPLING_COLUMNS = ["spin_a", "spin_b", "f_hz", "sigma_hz", "subspace_mode"]
@@ -55,20 +56,6 @@ def read_couplings_csv(path):
             except (ValueError, InputError) as exc:
                 raise InputError(f"{path}:{i}: {exc}") from exc
     return out
-
-
-def write_couplings_json(path, measurements):
-    rows = [
-        {
-            "spin_a": m.spin_a,
-            "spin_b": m.spin_b,
-            "f_hz": m.f_ij,
-            "sigma_hz": m.sigma,
-            "subspace_mode": m.subspace_mode,
-        }
-        for m in measurements
-    ]
-    write_json(path, {"couplings": rows})
 
 
 def read_couplings_json(path):
@@ -195,15 +182,6 @@ def read_trace_csv(path):
     return TimeTrace(np.array(ts), np.array(cs))
 
 
-def write_sweep_csv(path, records, pair: str = ""):
-    """Deviation-sweep records as CSV: pair, mode, phi1, phi2, deviation."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair", "mode", "phi1_rad", "phi2_rad", "deviation_hz"])
-        for r in records:
-            w.writerow([pair, r.mode, repr(r.phi1), repr(r.phi2), repr(r.deviation)])
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -265,17 +243,17 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def build_manifest(command, config, inputs, outputs):
-    """Reproducibility record: config hash, constants, versions, file hashes."""
+def build_manifest(command, config, inputs, outputs, physics=DEFAULT_PHYSICS):
+    """Reproducibility record: config hash, the constants used (the nuclear
+    gammas from physics), versions, file hashes."""
     from . import __version__
-    from .constants import constants_table
 
     cfg_json = canonical_json(config)
     return {
         "command": command,
         "config": config,
         "config_sha256": sha256_text(cfg_json),
-        "constants": constants_table(),
+        "constants": physics.constants_table(),
         "version": __version__,
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": {str(p): sha256_file(p) for p in outputs},
@@ -330,26 +308,3 @@ def _parse_value(token: str, lineno: int):
 
 def read_config(path) -> dict:
     return parse_config_text(Path(path).read_text())
-
-
-def format_config(values: dict) -> str:
-    """Render a flat dotted-key dict back to the key=value format; the
-    result re-parses to the same dict."""
-    sections = {}
-    for key in sorted(values):
-        section, _, name = key.rpartition(".")
-        sections.setdefault(section, []).append((name, values[key]))
-    lines = []
-    for section in sorted(sections):
-        if section:
-            lines.append(f"[{section}]")
-        for name, value in sections[section]:
-            if isinstance(value, bool):
-                token = "true" if value else "false"
-            elif isinstance(value, str):
-                token = f'"{value}"'
-            else:
-                token = repr(value)
-            lines.append(f"{name} = {token}")
-        lines.append("")
-    return "\n".join(lines)

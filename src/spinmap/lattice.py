@@ -209,45 +209,6 @@ def reference_site_si1(params: LatticeParams) -> LatticeSite:
     return site
 
 
-def axial_symmetry_ops(params: LatticeParams, probe_radius: float = 7.5):
-    """Point-group operations about the vacancy's c-axis that map the
-    lattice onto itself (rotations about z and vertical mirror planes).
-
-    Determined empirically on a probe ball so the result reflects the
-    configured stacking and k_variant.
-    """
-    sites = build_lattice(params, probe_radius)
-    ref = {(s.species, round(s.position[0], 6), round(s.position[1], 6), round(s.position[2], 6))
-           for s in sites}
-    ops = []
-    candidates = []
-    for k in range(6):
-        t = k * math.pi / 3.0
-        candidates.append(np.array([
-            [math.cos(t), -math.sin(t), 0.0],
-            [math.sin(t), math.cos(t), 0.0],
-            [0.0, 0.0, 1.0],
-        ]))
-    for k in range(6):
-        t = k * math.pi / 6.0  # mirror across vertical plane at angle t
-        candidates.append(np.array([
-            [math.cos(2 * t), math.sin(2 * t), 0.0],
-            [math.sin(2 * t), -math.cos(2 * t), 0.0],
-            [0.0, 0.0, 1.0],
-        ]))
-    for op in candidates:
-        mapped = {
-            (s.species,
-             round(op[0] @ s.position, 6),
-             round(op[1] @ s.position, 6),
-             round(op[2] @ s.position, 6))
-            for s in sites
-        }
-        if mapped == ref:
-            ops.append(op)
-    return ops
-
-
 class SiteTable:
     """Array view of a site list with fast position lookup."""
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, ConnectivityError, InfeasibilityError, InputError
 from .lattice import SiteTable
-from .spinphys import dipolar_alpha, species_for_label
+from .spinphys import DEFAULT_PHYSICS, Physics, dipolar_alpha, species_for_label
 
 _SUBSPACE_MODES = ("ms_plus_3_2", "ms_minus_3_2", "averaged")
 
@@ -57,12 +57,9 @@ class PlacementConfig:
     relative_tolerance_strong: float = 0.05
     strong_threshold: float = 35.0
     min_detectable: float = 3.0
-    placement_order: tuple = None
     max_branches: int = 1_000_000
     anchor: str = "Si1"
-    fix_gauge: bool = True
-    weak_exclusion: bool = False
-    weak_exclusion_factor: float = 2.0
+    physics: Physics = DEFAULT_PHYSICS
 
     def __post_init__(self):
         if self.tolerance_default <= 0:
@@ -84,18 +81,14 @@ class PlacementSolution:
         return {label: site.position for label, site in self.assignment.items()}
 
 
-def tolerance_for_pair(pair, f_ij, config: PlacementConfig, sweep_bound=None) -> float:
+def tolerance_for_pair(pair, f_ij, config: PlacementConfig) -> float:
     """Tolerance window (Hz) for one measured pair."""
     key = tuple(sorted(pair))
     if key in config.tolerance_overrides:
-        tol = config.tolerance_overrides[key]
-    elif f_ij > config.strong_threshold:
-        tol = config.relative_tolerance_strong * f_ij
-    else:
-        tol = config.tolerance_default
-    if sweep_bound is not None and sweep_bound > tol:
-        tol = sweep_bound
-    return tol
+        return config.tolerance_overrides[key]
+    if f_ij > config.strong_threshold:
+        return config.relative_tolerance_strong * f_ij
+    return config.tolerance_default
 
 
 def order_heuristic(measurements, anchor: str = "Si1"):
@@ -135,21 +128,19 @@ def _as_table(lattice) -> SiteTable:
     return lattice if isinstance(lattice, SiteTable) else SiteTable(lattice)
 
 
-def minimum_search_radius(min_detectable: float, cluster_extent: float = 0.0) -> float:
+def minimum_search_radius(min_detectable: float, cluster_extent: float = 0.0,
+                          physics: Physics = DEFAULT_PHYSICS) -> float:
     """Lattice radius guaranteeing no admissible candidate is missed.
 
     Beyond (2 alpha / min_detectable)^(1/3) from every placed spin, even an
-    axial pair of the most strongly coupled species combination (C-C) stays
+    axial pair of the most strongly coupled species combination stays
     below min_detectable/2, so sites outside cluster_extent + that reach can
     never satisfy a constraint.
     """
-    from .spinphys import C13, SI29, dipolar_alpha
-
     if min_detectable <= 0:
         raise InputError("min_detectable must be positive")
-    alpha = max(
-        abs(dipolar_alpha(a, b)) for a in (SI29, C13) for b in (SI29, C13)
-    )
+    nuclei = (physics.si29, physics.c13)
+    alpha = max(abs(dipolar_alpha(a, b)) for a in nuclei for b in nuclei)
     return cluster_extent + (2.0 * alpha / min_detectable) ** (1.0 / 3.0)
 
 
@@ -168,8 +159,9 @@ def find_anchor_site(table: SiteTable) -> int:
 class _FrequencyCache:
     """Vectorized |C_zz|/2 from one reference site to all sites of a species."""
 
-    def __init__(self, table: SiteTable):
+    def __init__(self, table: SiteTable, physics: Physics):
         self.table = table
+        self.physics = physics
         self._cache = {}
 
     def sedor(self, ref_index: int, species_name: str) -> np.ndarray:
@@ -180,7 +172,10 @@ class _FrequencyCache:
         table = self.table
         target_idx = table.by_species["Si" if species_name == "Si29" else "C"]
         ref_site = table.sites[ref_index]
-        alpha = dipolar_alpha(_site_species(ref_site.species), _nuclear_species(species_name))
+        alpha = dipolar_alpha(
+            _site_species(ref_site.species, self.physics),
+            self.physics.si29 if species_name == "Si29" else self.physics.c13,
+        )
         d = table.positions[target_idx] - ref_site.position
         r2 = np.einsum("ij,ij->i", d, d)
         r2[r2 < 1e-18] = np.inf  # the reference site itself
@@ -190,19 +185,11 @@ class _FrequencyCache:
         return f
 
 
-def _nuclear_species(name: str):
-    from .spinphys import C13, SI29
-
-    return {"Si29": SI29, "C13": C13}[name]
+def _site_species(lattice_species: str, physics: Physics):
+    return physics.si29 if lattice_species == "Si" else physics.c13
 
 
-def _site_species(lattice_species: str):
-    from .spinphys import C13, SI29
-
-    return SI29 if lattice_species == "Si" else C13
-
-
-def _constraints_for(new_label, placed_labels, measurements, config, sweep_bounds=None):
+def _constraints_for(new_label, placed_labels, measurements, config):
     """[(index into placed order, f_ij, tol)] for measurements linking
     new_label into the placed set (couplings below min_detectable ignored)."""
     pos_of = {lab: i for i, lab in enumerate(placed_labels)}
@@ -216,13 +203,11 @@ def _constraints_for(new_label, placed_labels, measurements, config, sweep_bound
             other = m.spin_a
         else:
             continue
-        bound = (sweep_bounds or {}).get(m.pair)
-        cons.append((pos_of[other], m.f_ij, tolerance_for_pair(m.pair, m.f_ij, config, bound)))
+        cons.append((pos_of[other], m.f_ij, tolerance_for_pair(m.pair, m.f_ij, config)))
     return cons
 
 
-def _candidate_indices(table, cache, partial, cons, species_name, config,
-                       placed_labels=None, new_label=None, measurements=None):
+def _candidate_indices(table, cache, partial, cons, species_name):
     """Site indices (into table) admissible for the new spin given one partial."""
     target_idx = table.by_species["Si" if species_name == "Si29" else "C"]
     mask = np.ones(target_idx.size, dtype=bool)
@@ -231,16 +216,6 @@ def _candidate_indices(table, cache, partial, cons, species_name, config,
         mask &= np.abs(f_vec - f_ij) <= tol
         if not mask.any():
             return target_idx[:0]
-    if config.weak_exclusion and placed_labels is not None:
-        measured = {m.pair for m in measurements if m.f_ij >= config.min_detectable}
-        cutoff = config.weak_exclusion_factor * config.min_detectable
-        for ppos, plab in enumerate(placed_labels):
-            if tuple(sorted((plab, new_label))) in measured:
-                continue
-            f_vec = cache.sedor(partial[ppos], species_name)
-            mask &= f_vec < cutoff
-            if not mask.any():
-                return target_idx[:0]
     allowed = target_idx[mask]
     occupied = set(partial)
     return np.array([i for i in allowed if i not in occupied], dtype=int)
@@ -267,18 +242,19 @@ def candidate_sites(placed, new_label, measurements, lattice, config: PlacementC
         )
     species_name = species_for_label(new_label).name
     idxs = _candidate_indices(
-        table, _FrequencyCache(table), tuple(partial), cons, species_name, config,
-        placed_labels=placed_labels, new_label=new_label, measurements=measurements,
+        table, _FrequencyCache(table, config.physics), tuple(partial), cons, species_name
     )
     return [table.sites[i] for i in idxs]
 
 
-def _table_symmetry_ops(table: SiteTable, probe_radius: float = 7.5):
-    """Axial point-group ops (about z through the vacancy) of the site set."""
+def _table_symmetry_ops(table: SiteTable):
+    """Axial point-group ops (about z through the vacancy) of the site set,
+    found empirically on the sites within 7.5 A, so the result follows the
+    table's stacking and k_variant."""
     import math
 
     r = np.linalg.norm(table.positions, axis=1)
-    sel = r <= probe_radius
+    sel = r <= 7.5
     ref = {
         (sp, round(p[0], 5), round(p[1], 5), round(p[2], 5))
         for sp, p in zip(table.species[sel], table.positions[sel])
@@ -365,17 +341,13 @@ def place_all(measurements, lattice, config: PlacementConfig):
     used = [m for m in measurements if m.f_ij >= config.min_detectable]
     if not used:
         raise InputError("no measurements at or above min_detectable")
-    order = list(config.placement_order) if config.placement_order else order_heuristic(
-        used, config.anchor
-    )
-    if order[0] != config.anchor:
-        raise InputError(f"placement order must start with anchor {config.anchor!r}")
+    order = order_heuristic(used, config.anchor)
     if species_for_label(config.anchor).name != "Si29":
         raise InputError("anchor must be a silicon label")
 
     anchor_idx = find_anchor_site(table)
-    cache = _FrequencyCache(table)
-    ops = _table_symmetry_ops(table) if config.fix_gauge else [np.eye(3)]
+    cache = _FrequencyCache(table, config.physics)
+    ops = _table_symmetry_ops(table)
 
     # each partial carries its residual stabilizer (indices into ops of the
     # symmetry operations fixing every placed site); candidates are reduced
@@ -395,10 +367,7 @@ def place_all(measurements, lattice, config: PlacementConfig):
         new_partials = []
         new_stabs = []
         for partial, stab in zip(partials, stabilizers):
-            idxs = _candidate_indices(
-                table, cache, partial, cons, species_name, config,
-                placed_labels=placed_labels, new_label=label, measurements=used,
-            )
+            idxs = _candidate_indices(table, cache, partial, cons, species_name)
             if len(stab) > 1:
                 idxs, child_stabs = _canonical_rep_indices(
                     table, idxs, [ops[oi] for oi in stab]
@@ -433,7 +402,7 @@ def place_all(measurements, lattice, config: PlacementConfig):
     for partial in partials:
         res = 0.0
         for ia, ib, f in pair_list:
-            f_th = _sedor_between(table, partial[ia], partial[ib])
+            f_th = _sedor_between(table, partial[ia], partial[ib], config.physics)
             res += (f - f_th) ** 2
         canon, mult = _orbit_info(table, partial, ops)
         solutions.append((res, partial, mult))
@@ -446,10 +415,10 @@ def place_all(measurements, lattice, config: PlacementConfig):
     return out
 
 
-def _sedor_between(table: SiteTable, i: int, j: int) -> float:
+def _sedor_between(table: SiteTable, i: int, j: int, physics: Physics) -> float:
     a = table.sites[i]
     b = table.sites[j]
-    alpha = dipolar_alpha(_site_species(a.species), _site_species(b.species))
+    alpha = dipolar_alpha(_site_species(a.species, physics), _site_species(b.species, physics))
     d = b.position - a.position
     r2 = float(d @ d)
     return 0.5 * abs(alpha / r2**1.5 * (3.0 * d[2] ** 2 / r2 - 1.0))

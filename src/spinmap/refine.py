@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .spinphys import dipolar_alpha, species_for_label
+from .spinphys import DEFAULT_PHYSICS, Physics, dipolar_alpha, species_for_label
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class RefinementConfig:
     gradient_tol_rel: float = 1e-8  # vs initial gradient norm
     step_tol: float = 1e-6  # angstrom
     cost_tol_rel: float = 1e-12  # relative decrease treated as stagnation
-    weighted: bool = False  # 1/sigma^2 weights
-    fix_azimuth: bool = True
+    physics: Physics = DEFAULT_PHYSICS
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,15 @@ class RefinementResult:
     sign_flips: int
 
 
-def _pair_terms(positions, measurements, weighted):
+def _pair_terms(positions, measurements, physics):
     labels = set(positions)
     terms = []
     for m in measurements:
         if m.spin_a in labels and m.spin_b in labels:
-            w = 1.0 / m.sigma**2 if weighted else 1.0
-            alpha = dipolar_alpha(species_for_label(m.spin_a), species_for_label(m.spin_b))
-            terms.append((m.spin_a, m.spin_b, m.f_ij, w, alpha))
+            alpha = dipolar_alpha(
+                species_for_label(m.spin_a, physics), species_for_label(m.spin_b, physics)
+            )
+            terms.append((m.spin_a, m.spin_b, m.f_ij, alpha))
     return terms
 
 
@@ -80,7 +80,7 @@ def _czz_and_grad(pa, pb, alpha):
     return czz, grad
 
 
-def residual_and_gradient(positions, measurements, weighted: bool = False):
+def residual_and_gradient(positions, measurements, physics: Physics = DEFAULT_PHYSICS):
     """epsilon = sum (f_exp - |C_zz|/2)^2 and d(epsilon)/d(coordinate).
 
     positions: mapping label -> (3,) array in angstrom.  The gradient is
@@ -90,12 +90,12 @@ def residual_and_gradient(positions, measurements, weighted: bool = False):
     pos = {lab: np.asarray(p, dtype=float) for lab, p in positions.items()}
     grad = {lab: np.zeros(3) for lab in pos}
     eps = 0.0
-    for a, b, f, w, alpha in _pair_terms(pos, measurements, weighted):
+    for a, b, f, alpha in _pair_terms(pos, measurements, physics):
         czz, dczz = _czz_and_grad(pos[a], pos[b], alpha)
         r_k = f - 0.5 * abs(czz)
-        eps += w * r_k * r_k
+        eps += r_k * r_k
         s = 1.0 if czz >= 0 else -1.0
-        coeff = -w * r_k * s  # d eps/d czz, including the 2 from the square
+        coeff = -r_k * s  # d eps/d czz, including the 2 from the square
         grad[b] += coeff * dczz
         grad[a] -= coeff * dczz
     return eps, grad
@@ -124,20 +124,19 @@ class _Parameterization:
     """Free coordinates: 3 per non-anchor spin, minus one azimuthal
     direction of the gauge spin (pinned about the anchor's vertical axis)."""
 
-    def __init__(self, labels, positions, anchor, fix_azimuth):
+    def __init__(self, labels, positions, anchor):
         self.anchor = anchor
         self.labels = [lab for lab in labels if lab != anchor]
         self.blocks = {}
         offset = 0
         gauge_label = None
-        if fix_azimuth:
-            p0 = positions[anchor]
-            best_rho = 1e-9
-            for lab in self.labels:
-                rho = math.hypot(positions[lab][0] - p0[0], positions[lab][1] - p0[1])
-                if rho > best_rho + 1e-12:
-                    best_rho = rho
-                    gauge_label = lab
+        p0 = positions[anchor]
+        best_rho = 1e-9
+        for lab in self.labels:
+            rho = math.hypot(positions[lab][0] - p0[0], positions[lab][1] - p0[1])
+            if rho > best_rho + 1e-12:
+                best_rho = rho
+                gauge_label = lab
         self.gauge_label = gauge_label
         for lab in self.labels:
             if lab == gauge_label:
@@ -165,15 +164,14 @@ def _residual_vector_and_jacobian(pos, terms, signs, param):
     m = len(terms)
     r = np.zeros(m)
     jac = np.zeros((m, param.n_params))
-    for k, ((a, b, f, w, alpha), s) in enumerate(zip(terms, signs)):
+    for k, ((a, b, f, alpha), s) in enumerate(zip(terms, signs)):
         czz, dczz = _czz_and_grad(pos[a], pos[b], alpha)
-        sw = math.sqrt(w)
-        r[k] = sw * (f - 0.5 * s * czz)
+        r[k] = f - 0.5 * s * czz
         for lab, sign in ((b, 1.0), (a, -1.0)):
             if lab == param.anchor:
                 continue
             off, basis = param.blocks[lab]
-            jac[k, off:off + basis.shape[1]] += (-0.5 * s * sw * sign) * (dczz @ basis)
+            jac[k, off:off + basis.shape[1]] += (-0.5 * s * sign) * (dczz @ basis)
     return r, jac
 
 
@@ -184,19 +182,20 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
     Residuals only ever decrease across accepted steps; convergence is by
     gradient norm, step size or stagnating cost (converged_by "gradient",
     "step" or "cost"), otherwise NonConvergenceError carries the last
-    iterate.
+    iterate.  A refined residual above the initial one also raises
+    NonConvergenceError, with both residuals in its diagnostics.
     """
     base = initial.positions() if hasattr(initial, "positions") else dict(initial)
     base = {lab: np.asarray(p, dtype=float) for lab, p in base.items()}
     if config.anchor not in base:
         raise InputError(f"anchor {config.anchor!r} missing from the assignment")
     labels = sorted(base)
-    terms = _pair_terms(base, measurements, config.weighted)
+    terms = _pair_terms(base, measurements, config.physics)
     if not terms:
         raise InputError("no measurement connects two assigned spins")
-    param = _Parameterization(labels, base, config.anchor, config.fix_azimuth)
+    param = _Parameterization(labels, base, config.anchor)
     signs = []
-    for a, b, f, w, alpha in terms:
+    for a, b, f, alpha in terms:
         czz, _ = _czz_and_grad(base[a], base[b], alpha)
         signs.append(1.0 if czz >= 0 else -1.0)
 
@@ -206,7 +205,7 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
         x, info = _levenberg_marquardt(base, x, terms, signs, param, config)
         pos = param.apply(base, x)
         flips = 0
-        for k, (a, b, f, w, alpha) in enumerate(terms):
+        for k, (a, b, f, alpha) in enumerate(terms):
             czz, _ = _czz_and_grad(pos[a], pos[b], alpha)
             s = 1.0 if czz >= 0 else -1.0
             if s != signs[k]:
@@ -226,10 +225,13 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
         cond = float("inf")
     else:
         cond = float((sv[0] / sv[-1]) ** 2)  # of J^T J
-    eps_init, _ = residual_and_gradient(base, measurements, config.weighted)
+    eps_init, _ = residual_and_gradient(base, measurements, config.physics)
     eps_final = float(r @ r)
     if eps_final > eps_init + 1e-9 * max(1.0, eps_init):
-        raise RuntimeError("refined residual exceeds the initial residual")
+        raise NonConvergenceError(
+            "refined residual exceeds the initial residual",
+            diagnostics={"initial_residual": eps_init, "final_residual": eps_final},
+        )
     report = displacement_report(base, pos)
     return RefinementResult(
         positions=pos,

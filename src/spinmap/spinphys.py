@@ -35,29 +35,42 @@ SI29 = SpinSpecies("Si29", constants.GAMMA_SI29, 0.5)
 C13 = SpinSpecies("C13", constants.GAMMA_C13, 0.5)
 
 
-def configure_gammas(gamma_si29=None, gamma_c13=None):
-    """Override the nuclear gyromagnetic ratios (Hz/T) process-wide.
+@dataclass(frozen=True)
+class Physics:
+    """The two nuclear species whose gyromagnetic ratios fix every dipolar
+    coupling.  Passed as a value to whatever turns positions into
+    couplings, and recorded in run manifests."""
 
-    Intended for CLI startup; library callers normally pass SpinSpecies
-    objects explicitly instead.
-    """
-    global SI29, C13
-    if gamma_si29 is not None:
-        SI29 = SpinSpecies("Si29", float(gamma_si29), 0.5)
-    if gamma_c13 is not None:
-        C13 = SpinSpecies("C13", float(gamma_c13), 0.5)
+    si29: SpinSpecies = SI29
+    c13: SpinSpecies = C13
+
+    @classmethod
+    def from_gammas(cls, gamma_si29=None, gamma_c13=None):
+        """The default species with either gyromagnetic ratio (Hz/T) replaced."""
+        return cls(
+            SI29 if gamma_si29 is None else SpinSpecies("Si29", float(gamma_si29), 0.5),
+            C13 if gamma_c13 is None else SpinSpecies("C13", float(gamma_c13), 0.5),
+        )
+
+    def constants_table(self) -> dict:
+        return constants.constants_table(
+            self.si29.gyromagnetic_ratio, self.c13.gyromagnetic_ratio
+        )
+
+
+DEFAULT_PHYSICS = Physics()
 
 
 def electron_species(g_factor: float = constants.G_ELECTRON_DEFAULT) -> SpinSpecies:
     return SpinSpecies("electron", constants.electron_gamma(g_factor), 1.5)
 
 
-def species_for_label(label: str) -> SpinSpecies:
+def species_for_label(label: str, physics: Physics = DEFAULT_PHYSICS) -> SpinSpecies:
     """Map a spin label like 'Si12' or 'C1' to its nuclear species."""
     if label.startswith("Si"):
-        return SI29
+        return physics.si29
     if label.startswith("C"):
-        return C13
+        return physics.c13
     raise InputError(f"cannot infer species from label {label!r}")
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InputError
 from .lattice import SiteTable
 from .placement import CouplingMeasurement, _sedor_between, find_anchor_site
+from .spinphys import DEFAULT_PHYSICS, Physics
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,8 @@ def generate_spread_cluster(lattice, n_target: int = 24, seed: int = 0,
                             noise: NoiseModel = NoiseModel(), min_separation: float = 4.2,
                             ball_radius: float = 12.5, min_degree: int = 4,
                             min_detectable: float = 3.0, min_core: int = 10,
-                            max_tries: int = 40) -> SyntheticCluster:
+                            max_tries: int = 40,
+                            physics: Physics = DEFAULT_PHYSICS) -> SyntheticCluster:
     """Loosely packed all-silicon cluster for refinement studies.
 
     Samples up to n_target Si sites with pairwise separation above
@@ -248,7 +250,7 @@ def generate_spread_cluster(lattice, n_target: int = 24, seed: int = 0,
         deg = {i: 0 for i in nodes}
         for x, a in enumerate(nodes):
             for b in nodes[x + 1:]:
-                if _sedor_between(table, a, b) >= min_detectable:
+                if _sedor_between(table, a, b, physics) >= min_detectable:
                     deg[a] += 1
                     deg[b] += 1
         return deg
@@ -282,7 +284,8 @@ def generate_spread_cluster(lattice, n_target: int = 24, seed: int = 0,
 
 
 def emit_couplings(cluster: SyntheticCluster, lattice, min_detectable: float = 3.0,
-                   noise: NoiseModel = None, seed: int = None):
+                   noise: NoiseModel = None, seed: int = None,
+                   physics: Physics = DEFAULT_PHYSICS):
     """Noisy SEDOR table for all pairs whose measured frequency is at or
     above min_detectable.  Format-identical to the placement input."""
     table = lattice if isinstance(lattice, SiteTable) else SiteTable(lattice)
@@ -292,7 +295,7 @@ def emit_couplings(cluster: SyntheticCluster, lattice, min_detectable: float = 3
     labels = sorted(cluster.truth.keys())
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
     idx_of = {lab: table.index_of_site(site) for lab, site in cluster.truth.items()}
-    f_true = np.array([_sedor_between(table, idx_of[a], idx_of[b]) for a, b in pairs])
+    f_true = np.array([_sedor_between(table, idx_of[a], idx_of[b], physics) for a, b in pairs])
     f_meas = f_true + noise.draw(rng, len(pairs))
     out = []
     for (a, b), f in zip(pairs, f_meas):
@@ -301,7 +304,8 @@ def emit_couplings(cluster: SyntheticCluster, lattice, min_detectable: float = 3
     return out
 
 
-def truth_graph_connected(cluster: SyntheticCluster, lattice, min_detectable: float = 3.0) -> bool:
+def truth_graph_connected(cluster: SyntheticCluster, lattice, min_detectable: float = 3.0,
+                          physics: Physics = DEFAULT_PHYSICS) -> bool:
     """True when the noiseless coupling graph connects every spin to Si1."""
     table = lattice if isinstance(lattice, SiteTable) else SiteTable(lattice)
     labels = sorted(cluster.truth.keys())
@@ -309,7 +313,7 @@ def truth_graph_connected(cluster: SyntheticCluster, lattice, min_detectable: fl
     adj = {lab: set() for lab in labels}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            if _sedor_between(table, idx_of[a], idx_of[b]) >= min_detectable:
+            if _sedor_between(table, idx_of[a], idx_of[b], physics) >= min_detectable:
                 adj[a].add(b)
                 adj[b].add(a)
     seen = {"Si1"}
@@ -324,12 +328,12 @@ def truth_graph_connected(cluster: SyntheticCluster, lattice, min_detectable: fl
 
 def generate_connected_cluster(lattice, n_si, n_c, structure=ClusterStructure(),
                                seed=0, noise=NoiseModel(), min_detectable=3.0,
-                               max_tries=40):
+                               max_tries=40, physics=DEFAULT_PHYSICS):
     """generate_cluster, retried deterministically until the noiseless
     coupling graph is connected from the anchor."""
     for t in range(max_tries):
         cluster = generate_cluster(lattice, n_si, n_c, structure, (seed, t), noise)
-        if truth_graph_connected(cluster, lattice, min_detectable):
+        if truth_graph_connected(cluster, lattice, min_detectable, physics):
             return cluster
     raise InputError(
         f"no connected cluster found in {max_tries} attempts for seed {seed}"

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import pytest
 
 import spinmap
 from spinmap import cli, fileio
-from spinmap.cli import main
+from spinmap.cli import DEFAULT_LATTICE_RADIUS, build_parser, main
 from spinmap.errors import InversionError, NonConvergenceError
+from spinmap.placement import minimum_search_radius
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "couplings_fixture.csv"
@@ -94,6 +96,27 @@ class TestExitCodes:
         rc = run(["synth", "telegraph", "--rates", "0.2", "--out", tmp_path / "t.csv"])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+    def test_refined_residual_above_initial_is_typed(self, tmp_path, capsys, monkeypatch):
+        sols = tmp_path / "solutions.json"
+        assert run(["place", "--couplings", FIXTURE, "--out", sols]) == 0
+        capsys.readouterr()
+
+        def worse_step(base, x0, terms, signs, param, config):
+            info = {"iterations": 1, "converged_by": "step", "gradient_norm": 0.0}
+            return x0 + 0.5, info
+
+        refine_module = importlib.import_module("spinmap.refine")  # spinmap.refine is the function
+        monkeypatch.setattr(refine_module, "_levenberg_marquardt", worse_step)
+        rc = run(["refine", "--solution", sols, "--couplings", FIXTURE,
+                  "--out", tmp_path / "refined.json"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        data = json.loads(err)
+        assert data["error"] == "non_convergence"
+        diag = data["diagnostics"]
+        assert diag["final_residual"] > diag["initial_residual"]
 
 
 class TestLazyScipy:
@@ -281,19 +304,37 @@ class TestConstantsAndConfig:
         assert run(["--config", cfg, "constants"]) == 2
 
     def test_gamma_override_changes_placement(self, tmp_path, capsys):
-        from spinmap import spinphys
-
-        orig = (spinphys.SI29, spinphys.C13)
         out = tmp_path / "s.json"
-        try:
-            rc = run(
-                ["--gamma-si29=-8.4e6", "place", "--couplings", FIXTURE, "--out", out]
-            )
-            assert rc == 1  # couplings become inconsistent with the lattice
-            err = json.loads(capsys.readouterr().err)
-            assert err["error"] == "infeasible"
-        finally:
-            spinphys.SI29, spinphys.C13 = orig
+        rc = run(["--gamma-si29=-8.4e6", "place", "--couplings", FIXTURE, "--out", out])
+        assert rc == 1  # couplings become inconsistent with the lattice
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "infeasible"
+
+    def test_gamma_flags_recorded_in_manifest(self, tmp_path):
+        out = tmp_path / "lat.csv"
+        assert run(["--gamma-si29=-8.4e6", "--gamma-c13=10.7e6", "lattice", "--radius", "5",
+                    "--out", out]) == 0
+        constants = json.loads((tmp_path / "lat.csv.manifest.json").read_text())["constants"]
+        assert constants["gamma_si29_Hz_per_T"] == -8.4e6
+        assert constants["gamma_c13_Hz_per_T"] == 10.7e6
+
+    def test_gamma_flag_printed_by_constants(self, capsys):
+        assert run(["--gamma-si29=-8.4e6", "constants"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["gamma_si29_Hz_per_T"] == -8.4e6
+        assert data["gamma_c13_Hz_per_T"] == 10.7084e6
+
+    def test_gamma_flag_does_not_leak_into_next_run(self, tmp_path):
+        assert run(["--gamma-si29=-8.4e6", "lattice", "--radius", "5",
+                    "--out", tmp_path / "lat.csv"]) == 0
+        assert run(["place", "--couplings", FIXTURE, "--out", tmp_path / "s.json"]) == 0
+
+    def test_default_lattice_radius_covers_reach(self):
+        # the help text's claim: 3 Hz reach at 11 A cluster extent
+        assert DEFAULT_LATTICE_RADIUS >= minimum_search_radius(3.0, cluster_extent=11.0)
+        subparsers = build_parser()._spinmap_subparsers
+        for name in ("place", "synth-cluster", "synth-couplings", "reproduce"):
+            assert subparsers[name].get_default("lattice_radius") == DEFAULT_LATTICE_RADIUS
 
 
 class TestReproduce:

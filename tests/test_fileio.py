@@ -23,10 +23,22 @@ class TestCouplingsIO:
         got = fileio.read_couplings_csv(p)
         assert got == MEAS
 
-    def test_json_roundtrip(self, tmp_path):
+    def test_json_reader_on_literal_file(self, tmp_path):
         p = tmp_path / "c.json"
-        fileio.write_couplings_json(p, MEAS)
+        p.write_text(json.dumps({"couplings": [
+            {"spin_a": "Si1", "spin_b": "Si2", "f_hz": 80.0625, "sigma_hz": 0.2},
+            {"spin_a": "Si1", "spin_b": "C1", "f_hz": 12.25, "sigma_hz": 0.2,
+             "subspace_mode": "ms_plus_3_2"},
+            {"spin_a": "C1", "spin_b": "Si10", "f_hz": 185.61, "sigma_hz": 0.5,
+             "subspace_mode": "averaged"},
+        ]}))
         assert fileio.read_couplings(p) == MEAS
+
+    def test_json_missing_field_rejected(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"couplings": [{"spin_a": "Si1", "spin_b": "Si2", "f_hz": 5.0}]}')
+        with pytest.raises(InputError):
+            fileio.read_couplings(p)
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -118,32 +130,13 @@ class TestConfigParser:
         with pytest.raises(InputError):
             fileio.parse_config_text("x = {1,2}")
 
-
-class TestSweepExport:
-    def test_columns_and_rows(self, tmp_path, params):
-        from conftest import weak_pair_spec
-        from spinmap.hamiltonian import deviation_sweep
-
-        res = deviation_sweep(weak_pair_spec(params), [0.0, 1.0], 2.3)
-        p = tmp_path / "sweep.csv"
-        fileio.write_sweep_csv(p, res.records, pair="Si1-Si2")
-        lines = p.read_text().splitlines()
-        assert lines[0] == "pair,mode,phi1_rad,phi2_rad,deviation_hz"
-        assert len(lines) == 1 + len(res.records)
-        assert lines[1].startswith("Si1-Si2,")
-
-
-class TestConfigRoundTrip:
-    def test_format_then_parse_is_lossless(self):
-        values = {
-            "anchor": "Si1",
-            "tolerance": 0.6,
-            "place.max_branches": 1000000,
-            "place.verbose": True,
+    def test_hyphenated_section_and_false(self):
+        text = '[synth-cluster]\nseed = 7\nverbose = FALSE\nname = "a b"\n'
+        assert fileio.parse_config_text(text) == {
             "synth-cluster.seed": 7,
+            "synth-cluster.verbose": False,
+            "synth-cluster.name": "a b",
         }
-        text = fileio.format_config(values)
-        assert fileio.parse_config_text(text) == values
 
 
 class TestManifest:

@@ -4,13 +4,14 @@ import pytest
 from spinmap.errors import CapacityError, InputError
 from spinmap.lattice import (
     LatticeParams,
-    axial_symmetry_ops,
+    SiteTable,
     build_lattice,
     make_site,
     nearest_neighbor_distance,
     reference_site_si1,
     site_position,
 )
+from spinmap.placement import _table_symmetry_ops
 
 
 def brute_force_basis_ball(params, radius):
@@ -163,18 +164,25 @@ class TestReferenceSite:
 
 
 class TestSymmetry:
-    def test_c3v_group_found(self, params):
-        ops = axial_symmetry_ops(params)
-        assert len(ops) == 6
-        rotations = [op for op in ops if np.isclose(np.linalg.det(op), 1.0)]
-        mirrors = [op for op in ops if np.isclose(np.linalg.det(op), -1.0)]
-        assert len(rotations) == 3
-        assert len(mirrors) == 3
+    @staticmethod
+    def ops_by_variant():
+        for k_variant in (0, 1):
+            table = SiteTable(build_lattice(LatticeParams(k_variant=k_variant), 8.0))
+            yield _table_symmetry_ops(table)
 
-    def test_ops_preserve_z(self, params):
-        for op in axial_symmetry_ops(params):
-            assert np.allclose(op[2], [0, 0, 1])
-            assert np.allclose(op[:, 2], [0, 0, 1])
+    def test_c3v_group_found(self):
+        for ops in self.ops_by_variant():
+            assert len(ops) == 6
+            rotations = [op for op in ops if np.isclose(np.linalg.det(op), 1.0)]
+            mirrors = [op for op in ops if np.isclose(np.linalg.det(op), -1.0)]
+            assert len(rotations) == 3
+            assert len(mirrors) == 3
+
+    def test_ops_preserve_z(self):
+        for ops in self.ops_by_variant():
+            for op in ops:
+                assert np.allclose(op[2], [0, 0, 1])
+                assert np.allclose(op[:, 2], [0, 0, 1])
 
 
 class TestSiteTable:

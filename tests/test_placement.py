@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinmap.errors import (
     CapacityError,
@@ -103,10 +107,6 @@ class TestToleranceForPair:
 
     def test_default_below_threshold(self):
         assert tolerance_for_pair(("Si8", "Si9"), 4.31, self.CFG) == 0.6
-
-    def test_sweep_bound_wins_when_larger(self):
-        assert tolerance_for_pair(("Si8", "Si9"), 4.31, self.CFG, sweep_bound=1.1) == 1.1
-        assert tolerance_for_pair(("Si8", "Si9"), 4.31, self.CFG, sweep_bound=0.1) == 0.6
 
 
 class TestOrderHeuristic:
@@ -341,6 +341,42 @@ class TestPlaceAll:
         meas = [CouplingMeasurement("Si1", "Si2", 1.0, 0.2)]
         with pytest.raises(InputError):
             place_all(meas, table26, PlacementConfig())
+
+
+class TestSymmetryEquivariance:
+    """Mapping a criterion-4 truth cluster by a lattice symmetry op maps
+    the placement result: same classes, same residuals."""
+
+    @pytest.fixture(scope="class")
+    def ops(self, table26):
+        return _table_symmetry_ops(table26)
+
+    @settings(max_examples=12, deadline=None)
+    @given(op_index=st.integers(0, 5), seed=st.integers(0, 19))
+    def test_mapped_truth_same_classes_and_residuals(self, table26, ops, op_index, seed):
+        op = ops[op_index]
+        cluster = generate_connected_cluster(
+            table26, 22, 3, ClusterStructure("clustered", 4, 5, 7), seed=seed,
+            noise=NoiseModel("gaussian", 0.2, 3.0),
+        )
+        images = {
+            lab: table26.index_of_position(op @ site.position)
+            for lab, site in cluster.truth.items()
+        }
+        assert None not in images.values()
+        mapped = dataclasses.replace(
+            cluster, truth={lab: table26.sites[i] for lab, i in images.items()}
+        )
+        config = PlacementConfig(tolerance_overrides={("Si1", "Si2"): 3.0})
+        results = []
+        for c in (cluster, mapped):
+            sols = place_all(emit_couplings(c, table26, 3.0), table26, config)
+            hit, n_classes = recovered(table26, ops, c, sols)
+            assert hit
+            results.append((n_classes, sorted(sol.residual for sol in sols)))
+        (n0, res0), (n1, res1) = results
+        assert n1 == n0
+        assert res1 == pytest.approx(res0, rel=1e-9, abs=0.0)
 
 
 class TestSearchRadius:

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinmap
 from spinmap.errors import InputError, InversionError, SingularityError
 from spinmap.spinphys import (
     C13,
@@ -10,6 +13,7 @@ from spinmap.spinphys import (
     DipolarTensor,
     FieldConfig,
     HyperfineTensor,
+    Physics,
     dipolar_alpha,
     dipolar_coupling,
     dipolar_tensor,
@@ -41,6 +45,17 @@ class TestSpecies:
         assert species_for_label("C3") is C13
         with pytest.raises(InputError):
             species_for_label("N1")
+        physics = Physics.from_gammas(gamma_si29=-8.4e6)
+        assert species_for_label("Si12", physics).gyromagnetic_ratio == -8.4e6
+        assert species_for_label("C3", physics) is C13
+        assert Physics() == Physics.from_gammas()
+
+    def test_no_global_statement_in_package(self):
+        # physics travels as a value: no module rebinds its own globals
+        for path in sorted(Path(spinmap.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Global)]
+            assert not found, f"{path.name}: global statement at lines {found}"
 
 
 class TestDipolarCoupling:

@@ -3,6 +3,7 @@ import pytest
 
 from spinmap.errors import InputError
 from spinmap.placement import CouplingMeasurement, _sedor_between
+from spinmap.spinphys import DEFAULT_PHYSICS
 from spinmap.synth import (
     ClusterStructure,
     NoiseModel,
@@ -91,7 +92,7 @@ class TestEmitCouplings:
         meas = emit_couplings(cluster, table26, 3.0, NoiseModel("none"))
         idx = {lab: table26.index_of_site(site) for lab, site in cluster.truth.items()}
         for m in meas:
-            f = _sedor_between(table26, idx[m.spin_a], idx[m.spin_b])
+            f = _sedor_between(table26, idx[m.spin_a], idx[m.spin_b], DEFAULT_PHYSICS)
             assert m.f_ij == pytest.approx(f, rel=1e-12)
             assert f >= 3.0
 
@@ -134,7 +135,7 @@ class TestConnectedAndSpread:
             deg = sum(
                 1
                 for b in labels
-                if b != a and _sedor_between(table26, idx[a], idx[b]) >= 3.0
+                if b != a and _sedor_between(table26, idx[a], idx[b], DEFAULT_PHYSICS) >= 3.0
             )
             # the anchor is never pruned (it is frozen during refinement)
             assert deg >= 4 or (a == "Si1" and deg >= 1)
