@@ -44,8 +44,8 @@ class LatticeParams:
     max_sites: int = 500_000
 
     def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise InputError(f"lattice constants must be positive, got a={self.a}, c={self.c}")
+        if not (math.isfinite(self.a) and math.isfinite(self.c) and min(self.a, self.c) > 0):
+            raise InputError(f"lattice constants must be finite and positive, got a={self.a}, c={self.c}")
         if len(self.stacking) < 2 or any(ch not in _STACK_XY for ch in self.stacking):
             raise InputError(f"stacking must use letters A/B/C, got {self.stacking!r}")
         n = len(self.stacking)
@@ -131,16 +131,17 @@ class LatticeSite:
         return (*self.cell, self.basis)
 
 
-def site_position(params: LatticeParams, cell, basis: int) -> np.ndarray:
-    """Cartesian position of (cell, basis) relative to the vacancy origin.
-
-    Deterministic: identical inputs give bit-identical floats.
-    """
-    rows = params.basis()
-    _, fx, fy, fz = rows[basis]
-    ox, oy, oz = params.origin_fractional()
-    df = np.array([cell[0] + (fx - ox), cell[1] + (fy - oy), cell[2] + (fz - oz)])
+def _positions(params: LatticeParams, i, j, k, b) -> np.ndarray:
+    """Cartesian positions relative to the vacancy, one row per (i, j, k, basis);
+    bit-identical for a site whether it comes alone or in a batch."""
+    frac = np.array([row[1:] for row in params.basis()]) - np.array(params.origin_fractional())
+    df = np.column_stack([i + frac[b, 0], j + frac[b, 1], k + frac[b, 2]])
     return df @ params.cell_vectors()
+
+
+def site_position(params: LatticeParams, cell, basis: int) -> np.ndarray:
+    """Cartesian position of (cell, basis) relative to the vacancy origin."""
+    return _positions(params, *cell, np.array([basis]))[0]
 
 
 def make_site(params: LatticeParams, cell, basis: int) -> LatticeSite:
@@ -153,8 +154,8 @@ def build_lattice(params: LatticeParams, radius: float):
 
     Sorted by distance to origin, then lexicographic (cell, basis).
     """
-    if radius <= 0:
-        raise InputError(f"radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"radius must be finite and positive, got {radius}")
     # Conservative index bounds: in-plane row spacing a*sin(60), one cell padding.
     ni = int(math.ceil(radius / (params.a * math.sin(math.pi / 3.0)))) + 2
     nk = int(math.ceil(radius / params.c)) + 2
@@ -163,25 +164,24 @@ def build_lattice(params: LatticeParams, radius: float):
         raise CapacityError(
             f"radius {radius} A implies ~{est} candidate sites (cap {params.max_sites})"
         )
-    basis_rows = params.basis()
-    origin = np.array(params.origin_fractional())
-    vecs = params.cell_vectors()
-    sites = []
+    # One plane of constant i at a time keeps memory O(sites) and lets an
+    # oversized ball fail as soon as the running count passes the cap.
+    j, k, b = np.mgrid[-ni:ni + 1, -nk:nk + 1, : 2 * params.n_layers].reshape(3, -1)
+    kept, n_sites = [], 0
     for i in range(-ni, ni + 1):
-        for j in range(-ni, ni + 1):
-            for k in range(-nk, nk + 1):
-                for b, (species, fx, fy, fz) in enumerate(basis_rows):
-                    df = np.array([i + (fx - origin[0]), j + (fy - origin[1]), k + (fz - origin[2])])
-                    pos = df @ vecs
-                    d = math.sqrt(pos[0] ** 2 + pos[1] ** 2 + pos[2] ** 2)
-                    if d <= radius:
-                        if d < 1e-9:
-                            continue  # the vacancy itself
-                        sites.append(LatticeSite(species, (i, j, k), b, pos))
-    if len(sites) > params.max_sites:
-        raise CapacityError(f"{len(sites)} sites exceed configured cap {params.max_sites}")
-    sites.sort(key=lambda s: (s.r, s.cell, s.basis))
-    return sites
+        pos = _positions(params, i, j, k, b)
+        d = np.sqrt(pos[:, 0] ** 2 + pos[:, 1] ** 2 + pos[:, 2] ** 2)
+        sel = (d <= radius) & (d >= 1e-9)  # the vacancy itself is excluded
+        kept.append((np.full(np.count_nonzero(sel), i), j[sel], k[sel], b[sel], pos[sel]))
+        n_sites += len(kept[-1][0])
+        if n_sites > params.max_sites:
+            raise CapacityError(f"more than {params.max_sites} sites within {radius} A")
+    i, j, k, b, pos = (np.concatenate(col) for col in zip(*kept))
+    del kept
+    order = np.lexsort((b, k, j, i, np.sqrt(np.vecdot(pos, pos))))
+    species = [row[0] for row in params.basis()]
+    rows = zip(*(x[order].tolist() for x in (i, j, k, b)), pos[order])
+    return [LatticeSite(species[bb], (ii, jj, kk), bb, p) for ii, jj, kk, bb, p in rows]
 
 
 def nearest_neighbor_distance(params: LatticeParams, species: str) -> float:
@@ -216,9 +216,8 @@ class SiteTable:
         self.sites = list(sites)
         self.positions = np.array([s.position for s in self.sites]).reshape(-1, 3)
         self.species = np.array([s.species for s in self.sites])
-        self._index = {
-            self._pos_key(s.position): i for i, s in enumerate(self.sites)
-        }
+        # round() on an np.float64 rounds as ndarray.round does: these are _pos_key's keys
+        self._index = dict(zip(zip(*self.positions.round(5).T.tolist()), range(len(self.sites))))
         self.by_species = {
             sp: np.flatnonzero(self.species == sp) for sp in (SPECIES_SI, SPECIES_C)
         }

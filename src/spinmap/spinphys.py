@@ -27,6 +27,11 @@ class SpinSpecies:
     spin: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.gyromagnetic_ratio) and self.gyromagnetic_ratio != 0.0):
+            raise InputError(
+                f"{self.name} gyromagnetic ratio must be finite and nonzero, "
+                f"got {self.gyromagnetic_ratio}"
+            )
         if self.spin not in (0.5, 1.5):
             raise InputError(f"unsupported spin {self.spin}")
 

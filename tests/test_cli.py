@@ -14,7 +14,8 @@ from spinmap.cli import DEFAULT_LATTICE_RADIUS, build_parser, main
 from spinmap.errors import InversionError, NonConvergenceError
 from spinmap.placement import minimum_search_radius
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 FIXTURE = DATA / "couplings_fixture.csv"
 
 
@@ -91,6 +92,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "recovery"
+
+    @pytest.mark.parametrize("args", [
+        ["lattice", "--radius", "nan"],
+        ["lattice", "--radius", "inf"],
+        ["lattice", "--radius", "5", "--a", "nan"],
+        ["lattice", "--radius", "5", "--c", "inf"],
+        ["--gamma-si29=nan", "lattice", "--radius", "5"],
+        ["--gamma-si29=0", "lattice", "--radius", "5"],
+        ["--gamma-c13=inf", "lattice", "--radius", "5"],
+        ["--gamma-c13=-inf", "lattice", "--radius", "5"],
+    ])
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, args):
+        out = tmp_path / "lat.csv"
+        assert run([*args, "--out", out]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--gamma-si29=nan", "--gamma-c13=0"])
+    def test_bad_gamma_rejected_by_constants(self, capsys, flag):
+        assert run([flag, "constants"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "input"
 
     def test_bad_flag_value_is_input_error(self, tmp_path, capsys):
         rc = run(["synth", "telegraph", "--rates", "0.2", "--out", tmp_path / "t.csv"])
@@ -337,20 +361,30 @@ class TestConstantsAndConfig:
             assert subparsers[name].get_default("lattice_radius") == DEFAULT_LATTICE_RADIUS
 
 
+@pytest.fixture(scope="module")
+def seed1_workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("reproduce") / "r"
+    assert run(["reproduce", "--seed", "1", "--workdir", d]) == 0
+    return d
+
+
 class TestReproduce:
-    def test_two_runs_byte_identical(self, tmp_path):
-        d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        assert run(["reproduce", "--seed", "1", "--workdir", d1]) == 0
+    def test_two_runs_byte_identical(self, tmp_path, seed1_workdir):
+        d1, d2 = seed1_workdir, tmp_path / "r2"
         assert run(["reproduce", "--seed", "1", "--workdir", d2]) == 0
         files = sorted(p.name for p in d1.iterdir())
         assert files == sorted(p.name for p in d2.iterdir())
         for name in files:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_report_contents(self, tmp_path):
-        d = tmp_path / "r"
-        assert run(["reproduce", "--seed", "1", "--workdir", d]) == 0
-        report = json.loads((d / "report.json").read_text())
+    def test_outputs_match_recorded_reference(self, seed1_workdir):
+        # written by perfbench/record_reference.py; the benchmark checks the same hashes
+        reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+        manifest = json.loads((seed1_workdir / "manifest.json").read_text())
+        assert manifest["outputs"] == reference["reproduce_seed1_outputs"]
+
+    def test_report_contents(self, seed1_workdir):
+        report = json.loads((seed1_workdir / "report.json").read_text())
         assert report["recovered_truth"] is True
         assert report["unique"] is True
         assert report["branch_history"][-1] == 1

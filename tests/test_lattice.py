@@ -1,9 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinmap.errors import CapacityError, InputError
 from spinmap.lattice import (
     LatticeParams,
+    LatticeSite,
     SiteTable,
     build_lattice,
     make_site,
@@ -32,6 +38,38 @@ def brute_force_basis_ball(params, radius):
     return out
 
 
+def _reference_build_lattice(params, radius):
+    """The site-by-site enumeration build_lattice replaced: one position per
+    candidate (i, j, k, basis), then a sort on (r, cell, basis)."""
+    ni = int(math.ceil(radius / (params.a * math.sin(math.pi / 3.0)))) + 2
+    nk = int(math.ceil(radius / params.c)) + 2
+    origin = np.array(params.origin_fractional())
+    vecs = params.cell_vectors()
+    sites = []
+    for i in range(-ni, ni + 1):
+        for j in range(-ni, ni + 1):
+            for k in range(-nk, nk + 1):
+                for b, (species, fx, fy, fz) in enumerate(params.basis()):
+                    df = np.array([i + (fx - origin[0]), j + (fy - origin[1]), k + (fz - origin[2])])
+                    pos = df @ vecs
+                    d = math.sqrt(pos[0] ** 2 + pos[1] ** 2 + pos[2] ** 2)
+                    if 1e-9 <= d <= radius:
+                        sites.append(LatticeSite(species, (i, j, k), b, pos))
+    sites.sort(key=lambda s: (s.r, s.cell, s.basis))
+    return sites
+
+
+@st.composite
+def drawn_lattices(draw):
+    """Cell constants within 5 % of ideal for a valid stacking, any k variant."""
+    stacking = draw(st.sampled_from(["ABCB", "ABCACB", "ABC"]))
+    a = draw(st.floats(0.95 * 3.073, 1.05 * 3.073))
+    c = a * len(stacking) * math.sqrt(2.0 / 3.0) * draw(st.floats(0.951, 1.049))
+    n_k = len(LatticeParams(a=a, c=c, stacking=stacking).k_layers())
+    k_variant = draw(st.integers(0, n_k - 1))
+    return LatticeParams(a=a, c=c, stacking=stacking, k_variant=k_variant)
+
+
 class TestLatticeParams:
     def test_defaults_valid(self, params):
         assert params.a == 3.073
@@ -43,6 +81,11 @@ class TestLatticeParams:
             LatticeParams(a=0.0, c=0.0)
         with pytest.raises(InputError):
             LatticeParams(a=-1.0)
+
+    @pytest.mark.parametrize("bad", [{"a": math.nan}, {"c": math.nan}, {"a": math.inf, "c": math.inf}])
+    def test_rejects_non_finite_constants(self, bad):
+        with pytest.raises(InputError):
+            LatticeParams(**bad)
 
     def test_rejects_bad_aspect_ratio(self):
         with pytest.raises(InputError):
@@ -79,10 +122,41 @@ class TestBuildLattice:
         with pytest.raises(InputError):
             build_lattice(params, 0.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius(self, params, radius):
+        with pytest.raises(InputError):
+            build_lattice(params, radius)
+
     def test_capacity_error(self):
         small = LatticeParams(max_sites=100)
         with pytest.raises(CapacityError):
             build_lattice(small, 30.0)
+
+    def test_oversized_ball_fails_in_bounded_memory(self):
+        # 250 A holds ~6M sites; the cap of 500k must stop the build early
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build_lattice(LatticeParams(), 250.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_lattices(), st.floats(2.0, 12.0))
+    @example(LatticeParams(), 12.0)
+    @example(LatticeParams(a=2.95, c=9.35), 12.0)  # z = -c/16 rounds on a 5-decimal tie
+    def test_bit_identical_to_site_by_site_enumeration(self, params, radius):
+        sites = build_lattice(params, radius)
+        ref = _reference_build_lattice(params, radius)
+        assert [(s.species, s.cell, s.basis) for s in sites] == [
+            (s.species, s.cell, s.basis) for s in ref
+        ]
+        assert all(type(x) is int for s in sites for x in (*s.cell, s.basis))
+        assert [s.position.tobytes() for s in sites] == [s.position.tobytes() for s in ref]
+        table = SiteTable(sites)
+        assert table._index == {table._pos_key(s.position): i for i, s in enumerate(ref)}
 
     def test_sorted_by_distance_then_cell(self, params):
         sites = build_lattice(params, 8.0)
@@ -189,6 +263,11 @@ class TestSiteTable:
     def test_index_roundtrip(self, table26):
         for i in (0, 17, len(table26) - 1):
             assert table26.index_of_site(table26.sites[i]) == i
+
+    @pytest.mark.parametrize("radius", [26.0, 28.5, 30.0])
+    def test_every_site_found_at_its_index(self, params, radius):
+        table = SiteTable(build_lattice(params, radius))
+        assert all(table.index_of_site(site) == i for i, site in enumerate(table.sites))
 
     def test_missing_position(self, table26):
         assert table26.index_of_position(np.array([0.123, 4.567, 8.9])) is None

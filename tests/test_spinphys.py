@@ -50,6 +50,13 @@ class TestSpecies:
         assert species_for_label("C3", physics) is C13
         assert Physics() == Physics.from_gammas()
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0])
+    def test_from_gammas_rejects_non_finite_or_zero(self, gamma):
+        with pytest.raises(InputError):
+            Physics.from_gammas(gamma_si29=gamma)
+        with pytest.raises(InputError):
+            Physics.from_gammas(gamma_c13=gamma)
+
     def test_no_global_statement_in_package(self):
         # physics travels as a value: no module rebinds its own globals
         for path in sorted(Path(spinmap.__file__).parent.glob("*.py")):
