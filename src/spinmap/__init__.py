@@ -21,6 +21,7 @@ from .hamiltonian import (
     subspace_averaged_sedor,
 )
 from .lattice import (
+    Lattice,
     LatticeParams,
     LatticeSite,
     SiteTable,

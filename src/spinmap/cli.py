@@ -82,13 +82,13 @@ def _add_lattice_args(p):
 
 def cmd_lattice(args, physics):
     params = _lattice_params(args)
-    sites = build_lattice(params, args.radius)
+    lattice = build_lattice(params, args.radius)
     if args.format == "csv":
-        fileio.write_lattice_csv(args.out, sites)
+        fileio.write_lattice_csv(args.out, lattice)
     else:
-        fileio.write_lattice_json(args.out, sites)
+        fileio.write_lattice_json(args.out, lattice)
     _emit_manifest("lattice", vars(args) | {"func": None}, [], [args.out], physics)
-    print(f"{len(sites)} sites within {args.radius} A -> {args.out}")
+    print(f"{len(lattice)} sites within {args.radius} A -> {args.out}")
     return 0
 
 
@@ -163,15 +163,18 @@ def cmd_refine(args, physics):
 
 
 def _read_freqs_file(path):
-    data = json.loads(Path(path).read_text())
-    field = FieldConfig(float(data["field_gauss"]))
-    spins = {}
-    for lab, row in data["spins"].items():
-        spins[lab] = (
-            float(row["f_plus"]),
-            float(row["f_minus"]),
-            tuple(row.get("subspaces", (1.5, -1.5))),
-        )
+    data = fileio.read_json(path)
+    try:
+        field = FieldConfig(float(data["field_gauss"]))
+        spins = {}
+        for lab, row in data["spins"].items():
+            spins[lab] = (
+                float(row["f_plus"]),
+                float(row["f_minus"]),
+                tuple(row.get("subspaces", (1.5, -1.5))),
+            )
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed frequency file: {exc}") from exc
     return field, spins
 
 
@@ -284,16 +287,20 @@ def cmd_synth_cluster(args, physics):
 
 
 def _cluster_from_truth_file(path, table):
-    data = json.loads(Path(path).read_text())
+    data = fileio.read_json(path)
     from .synth import SyntheticCluster
 
     truth = {}
-    for lab, entry in data["truth"].items():
-        idx = table.index_of_position(np.array(entry["position"], dtype=float))
-        if idx is None:
-            raise InputError(f"{path}: site for {lab} not on the configured lattice")
-        truth[lab] = table.sites[idx]
-    return SyntheticCluster(truth, NoiseModel(), tuple(data.get("seed", (0,))))
+    try:
+        for lab, entry in data["truth"].items():
+            idx = table.index_of_position(np.array(entry["position"], dtype=float))
+            if idx is None:
+                raise InputError(f"{path}: site for {lab} not on the configured lattice")
+            truth[lab] = table.site(idx)
+        seed = tuple(data.get("seed", (0,)))
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed truth file: {exc}") from exc
+    return SyntheticCluster(truth, NoiseModel(), seed)
 
 
 def cmd_synth_couplings(args, physics):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .lattice import LatticeSite
+from .lattice import Lattice, LatticeSite
 from .placement import CouplingMeasurement
 from .spinphys import DEFAULT_PHYSICS
 from .telegraph import TimeTrace
@@ -58,8 +58,16 @@ def read_couplings_csv(path):
     return out
 
 
+def read_json(path):
+    """The parsed content of a JSON file; InputError naming the file if it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InputError(f"{path}: not a JSON file: {exc}") from exc
+
+
 def read_couplings_json(path):
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     try:
         return [
             CouplingMeasurement(
@@ -83,26 +91,25 @@ def read_couplings(path):
 # lattice exports
 
 
-def write_lattice_csv(path, sites):
+def _lattice_rows(lattice: Lattice):
+    """(species, cell, basis, position) per site, as plain Python values."""
+    return zip(lattice.species.tolist(), lattice.cells.tolist(), lattice.basis.tolist(),
+               lattice.positions.tolist())
+
+
+def write_lattice_csv(path, lattice: Lattice):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["species", "i", "j", "k", "basis", "x", "y", "z"])
-        for s in sites:
-            w.writerow(
-                [s.species, *s.cell, s.basis]
-                + [f"{v:.6f}" for v in s.position]
-            )
+        for species, cell, basis, position in _lattice_rows(lattice):
+            w.writerow([species, *cell, basis] + [f"{v:.6f}" for v in position])
 
 
-def write_lattice_json(path, sites):
+def write_lattice_json(path, lattice: Lattice):
     rows = [
-        {
-            "species": s.species,
-            "cell": list(s.cell),
-            "basis": s.basis,
-            "position": [round(float(v), 6) for v in s.position],
-        }
-        for s in sites
+        {"species": species, "cell": cell, "basis": basis,
+         "position": [round(v, 6) for v in position]}
+        for species, cell, basis, position in _lattice_rows(lattice)
     ]
     write_json(path, {"sites": rows})
 
@@ -146,16 +153,19 @@ def write_solutions_json(path, solutions, ambiguous=None, meta=None):
 
 def read_solution_positions(path, index: int = 0):
     """Positions (label -> np.ndarray) of one solution in a solutions file."""
-    data = json.loads(Path(path).read_text())
-    sols = data.get("solutions", [])
-    if not sols:
-        raise InputError(f"{path}: no solutions")
-    if not 0 <= index < len(sols):
-        raise InputError(f"{path}: solution index {index} out of range")
-    return {
-        lab: np.array(entry["position"], dtype=float)
-        for lab, entry in sols[index]["assignment"].items()
-    }
+    data = read_json(path)
+    try:
+        sols = data.get("solutions", [])
+        if not sols:
+            raise InputError(f"{path}: no solutions")
+        if not 0 <= index < len(sols):
+            raise InputError(f"{path}: solution index {index} out of range")
+        return {
+            lab: np.array(entry["position"], dtype=float)
+            for lab, entry in sols[index]["assignment"].items()
+        }
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed solutions file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The lattice is hexagonal (a, a, c; gamma = 120 deg) with one Si-C bilayer
 per stacking letter.  Stacking "ABCB" gives the 4H polytype: 8 basis atoms
 (4 Si + 4 C) per unit cell.  The coordinate origin sits on a quasi-cubic
-(k) silicon site, which is removed from every generated site list (the
+(k) silicon site, which is removed from every generated lattice (the
 vacancy).  z runs along the crystal c-axis; all distances in angstrom.
 """
 
@@ -149,7 +149,20 @@ def make_site(params: LatticeParams, cell, basis: int) -> LatticeSite:
     return LatticeSite(species, tuple(int(x) for x in cell), basis, site_position(params, cell, basis))
 
 
-def build_lattice(params: LatticeParams, radius: float):
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The sites of one ball around the vacancy as columns, one row per site."""
+
+    species: np.ndarray  # (n,) "Si" or "C"
+    cells: np.ndarray  # (n, 3) int cell index (i, j, k)
+    basis: np.ndarray  # (n,) int basis index
+    positions: np.ndarray  # (n, 3) cartesian angstrom
+
+    def __len__(self):
+        return len(self.basis)
+
+
+def build_lattice(params: LatticeParams, radius: float) -> Lattice:
     """All Si and C sites with |position| <= radius, vacancy excluded.
 
     Sorted by distance to origin, then lexicographic (cell, basis).
@@ -179,9 +192,8 @@ def build_lattice(params: LatticeParams, radius: float):
     i, j, k, b, pos = (np.concatenate(col) for col in zip(*kept))
     del kept
     order = np.lexsort((b, k, j, i, np.sqrt(np.vecdot(pos, pos))))
-    species = [row[0] for row in params.basis()]
-    rows = zip(*(x[order].tolist() for x in (i, j, k, b)), pos[order])
-    return [LatticeSite(species[bb], (ii, jj, kk), bb, p) for ii, jj, kk, bb, p in rows]
+    species = np.array([row[0] for row in params.basis()])
+    return Lattice(species[b[order]], np.column_stack((i, j, k))[order], b[order], pos[order])
 
 
 def nearest_neighbor_distance(params: LatticeParams, species: str) -> float:
@@ -189,8 +201,8 @@ def nearest_neighbor_distance(params: LatticeParams, species: str) -> float:
     if species not in (SPECIES_SI, SPECIES_C):
         raise InputError(f"unknown species {species!r}")
     probe = max(2.5 * params.a, 0.8 * params.c)
-    sites = [s for s in build_lattice(params, probe) if s.species == species]
-    pos = np.array([s.position for s in sites])
+    lattice = build_lattice(params, probe)
+    pos = lattice.positions[lattice.species == species]
     d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     d[d < 1e-9] = np.inf
     return float(d.min())
@@ -210,14 +222,13 @@ def reference_site_si1(params: LatticeParams) -> LatticeSite:
 
 
 class SiteTable:
-    """Array view of a site list with fast position lookup."""
+    """A Lattice's columns (shared, not copied) with fast position lookup."""
 
-    def __init__(self, sites):
-        self.sites = list(sites)
-        self.positions = np.array([s.position for s in self.sites]).reshape(-1, 3)
-        self.species = np.array([s.species for s in self.sites])
+    def __init__(self, lattice: Lattice):
+        self.species, self.cells, self.basis, self.positions = (
+            lattice.species, lattice.cells, lattice.basis, lattice.positions)
         # round() on an np.float64 rounds as ndarray.round does: these are _pos_key's keys
-        self._index = dict(zip(zip(*self.positions.round(5).T.tolist()), range(len(self.sites))))
+        self._index = dict(zip(zip(*self.positions.round(5).T.tolist()), range(len(lattice))))
         self.by_species = {
             sp: np.flatnonzero(self.species == sp) for sp in (SPECIES_SI, SPECIES_C)
         }
@@ -227,11 +238,17 @@ class SiteTable:
         return (round(pos[0], 5), round(pos[1], 5), round(pos[2], 5))
 
     def __len__(self):
-        return len(self.sites)
+        return len(self.basis)
+
+    def site(self, i: int) -> LatticeSite:
+        """Site i as a LatticeSite that owns a copy of its position."""
+        return LatticeSite(str(self.species[i]), tuple(self.cells[i].tolist()),
+                           int(self.basis[i]), self.positions[i].copy())
 
     def index_of_position(self, pos):
         """Site index at a cartesian position, or None."""
-        return self._index.get(self._pos_key(pos))
+        # as float64, a list rounds on the same ties as the index keys
+        return self._index.get(self._pos_key(np.asarray(pos, dtype=float)))
 
     def index_of_site(self, site: LatticeSite):
         return self.index_of_position(site.position)

@@ -124,10 +124,6 @@ def order_heuristic(measurements, anchor: str = "Si1"):
     return ordered
 
 
-def _as_table(lattice) -> SiteTable:
-    return lattice if isinstance(lattice, SiteTable) else SiteTable(lattice)
-
-
 def minimum_search_radius(min_detectable: float, cluster_extent: float = 0.0,
                           physics: Physics = DEFAULT_PHYSICS) -> float:
     """Lattice radius guaranteeing no admissible candidate is missed.
@@ -171,12 +167,11 @@ class _FrequencyCache:
             return got
         table = self.table
         target_idx = table.by_species["Si" if species_name == "Si29" else "C"]
-        ref_site = table.sites[ref_index]
         alpha = dipolar_alpha(
-            _site_species(ref_site.species, self.physics),
+            _site_species(table.species[ref_index], self.physics),
             self.physics.si29 if species_name == "Si29" else self.physics.c13,
         )
-        d = table.positions[target_idx] - ref_site.position
+        d = table.positions[target_idx] - table.positions[ref_index]
         r2 = np.einsum("ij,ij->i", d, d)
         r2[r2 < 1e-18] = np.inf  # the reference site itself
         czz = alpha / r2**1.5 * (3.0 * d[:, 2] ** 2 / r2 - 1.0)
@@ -221,12 +216,11 @@ def _candidate_indices(table, cache, partial, cons, species_name):
     return np.array([i for i in allowed if i not in occupied], dtype=int)
 
 
-def candidate_sites(placed, new_label, measurements, lattice, config: PlacementConfig):
+def candidate_sites(placed, new_label, measurements, table: SiteTable, config: PlacementConfig):
     """Admissible sites for new_label given already-placed spins.
 
     placed: mapping label -> LatticeSite.
     """
-    table = _as_table(lattice)
     placed_labels = list(placed.keys())
     partial = []
     for lab in placed_labels:
@@ -244,7 +238,7 @@ def candidate_sites(placed, new_label, measurements, lattice, config: PlacementC
     idxs = _candidate_indices(
         table, _FrequencyCache(table, config.physics), tuple(partial), cons, species_name
     )
-    return [table.sites[i] for i in idxs]
+    return [table.site(i) for i in idxs]
 
 
 def _table_symmetry_ops(table: SiteTable):
@@ -255,10 +249,8 @@ def _table_symmetry_ops(table: SiteTable):
 
     r = np.linalg.norm(table.positions, axis=1)
     sel = r <= 7.5
-    ref = {
-        (sp, round(p[0], 5), round(p[1], 5), round(p[2], 5))
-        for sp, p in zip(table.species[sel], table.positions[sel])
-    }
+    species, pos = table.species[sel], table.positions[sel]
+    ref = {(sp, *table._pos_key(p)) for sp, p in zip(species, pos)}
     ops = []
     cands = []
     for k in range(6):
@@ -272,10 +264,7 @@ def _table_symmetry_ops(table: SiteTable):
                                [math.sin(2 * t), -math.cos(2 * t), 0.0],
                                [0.0, 0.0, 1.0]]))
     for op in cands:
-        mapped = {
-            (sp, round(q[0], 5), round(q[1], 5), round(q[2], 5))
-            for sp, q in zip(table.species[sel], table.positions[sel] @ op.T)
-        }
+        mapped = {(sp, *table._pos_key(q)) for sp, q in zip(species, pos @ op.T)}
         if mapped == ref:
             ops.append(op)
     return ops
@@ -289,12 +278,11 @@ def _canonical_rep_indices(table: SiteTable, indices, ops):
     seen_orbits = set()
     for i in indices:
         p = table.positions[i]
-        key = (round(p[0], 5), round(p[1], 5), round(p[2], 5))
+        key = table._pos_key(p)
         images = []
         stab = []
         for oi, op in enumerate(ops):
-            q = op @ p
-            qkey = (round(q[0], 5), round(q[1], 5), round(q[2], 5))
+            qkey = table._pos_key(op @ p)
             images.append(qkey)
             if qkey == key:
                 stab.append(oi)
@@ -326,18 +314,17 @@ def _orbit_info(table: SiteTable, partial, ops):
     return min(images), len(images)
 
 
-def canonical_assignment(table, partial, ops):
-    return _orbit_info(_as_table(table), partial, ops)[0]
+def canonical_assignment(table: SiteTable, partial, ops):
+    return _orbit_info(table, partial, ops)[0]
 
 
-def place_all(measurements, lattice, config: PlacementConfig):
+def place_all(measurements, table: SiteTable, config: PlacementConfig):
     """Breadth-first branch-and-prune placement of all labeled spins.
 
     Returns every surviving complete assignment (one representative per
     axial-symmetry class, multiplicity recorded), sorted by residual then
     site indices.  Deterministic for identical inputs.
     """
-    table = _as_table(lattice)
     used = [m for m in measurements if m.f_ij >= config.min_detectable]
     if not used:
         raise InputError("no measurements at or above min_detectable")
@@ -409,17 +396,17 @@ def place_all(measurements, lattice, config: PlacementConfig):
     solutions.sort(key=lambda t: (t[0], t[1]))
     out = []
     hist = tuple(history)
+    site_of = {i: table.site(i) for i in set().union(*partials)}  # shared by the solutions
     for res, partial, mult in solutions:
-        assignment = {lab: table.sites[i] for lab, i in zip(order, partial)}
+        assignment = {lab: site_of[i] for lab, i in zip(order, partial)}
         out.append(PlacementSolution(assignment, res, hist, mult))
     return out
 
 
 def _sedor_between(table: SiteTable, i: int, j: int, physics: Physics) -> float:
-    a = table.sites[i]
-    b = table.sites[j]
-    alpha = dipolar_alpha(_site_species(a.species, physics), _site_species(b.species, physics))
-    d = b.position - a.position
+    sp, pos = table.species, table.positions
+    alpha = dipolar_alpha(_site_species(sp.item(i), physics), _site_species(sp.item(j), physics))
+    d = pos[j] - pos[i]
     r2 = float(d @ d)
     return 0.5 * abs(alpha / r2**1.5 * (3.0 * d[2] ** 2 / r2 - 1.0))
 

@@ -27,8 +27,11 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform", "none"):
             raise InputError(f"unknown noise kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise InputError("noise amplitude must be >= 0")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise InputError(f"noise amplitude must be finite and >= 0, got {self.amplitude}")
+        t = self.truncate_sigmas
+        if t is not None and not (math.isfinite(t) and t >= 1):
+            raise InputError(f"truncate_sigmas must be None or finite and >= 1, got {t}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "none" or self.amplitude == 0.0:
@@ -124,7 +127,7 @@ def _pick_cluster_seeds(table, rng, anchor_idx, n_clusters, r_min=4.0, r_max=11.
 
 
 def generate_cluster(
-    lattice,
+    table: SiteTable,
     n_si: int,
     n_c: int,
     structure: ClusterStructure = ClusterStructure(),
@@ -138,7 +141,6 @@ def generate_cluster(
     seed sites (first seed = anchor); sizes are balanced within
     [size_min, size_max].
     """
-    table = lattice if isinstance(lattice, SiteTable) else SiteTable(lattice)
     if n_si < 1:
         raise InputError("need at least the Si1 anchor (n_si >= 1)")
     rng = np.random.default_rng(_seed_tuple(seed))
@@ -216,15 +218,15 @@ def generate_cluster(
     truth = {}
     cluster_of = {}
     for n, idx in enumerate(chosen_si, start=1):
-        truth[f"Si{n}"] = table.sites[idx]
+        truth[f"Si{n}"] = table.site(idx)
         cluster_of[f"Si{n}"] = cluster_of_site[idx]
     for n, idx in enumerate(chosen_c, start=1):
-        truth[f"C{n}"] = table.sites[idx]
+        truth[f"C{n}"] = table.site(idx)
         cluster_of[f"C{n}"] = cluster_of_site[idx]
     return SyntheticCluster(truth, noise, _seed_tuple(seed), cluster_of)
 
 
-def generate_spread_cluster(lattice, n_target: int = 24, seed: int = 0,
+def generate_spread_cluster(table: SiteTable, n_target: int = 24, seed: int = 0,
                             noise: NoiseModel = NoiseModel(), min_separation: float = 4.2,
                             ball_radius: float = 12.5, min_degree: int = 4,
                             min_detectable: float = 3.0, min_core: int = 10,
@@ -240,7 +242,6 @@ def generate_spread_cluster(lattice, n_target: int = 24, seed: int = 0,
     noise on the angstrom scale.  Retries deterministically when the prune
     cascades below min_core.
     """
-    table = lattice if isinstance(lattice, SiteTable) else SiteTable(lattice)
     anchor_idx = find_anchor_site(table)
     pos = table.positions
     r = np.linalg.norm(pos, axis=1)
@@ -275,7 +276,7 @@ def generate_spread_cluster(lattice, n_target: int = 24, seed: int = 0,
                 break
             nodes.remove(weak[0])
         if len(nodes) >= min_core and degrees(nodes)[anchor_idx] >= 1:
-            truth = {f"Si{n}": table.sites[i] for n, i in enumerate(nodes, start=1)}
+            truth = {f"Si{n}": table.site(i) for n, i in enumerate(nodes, start=1)}
             return SyntheticCluster(truth, noise, _seed_tuple(seed), {lab: 0 for lab in truth})
     raise InputError(
         f"no spread cluster with >= {min_core} spins found in {max_tries} "
@@ -283,12 +284,11 @@ def generate_spread_cluster(lattice, n_target: int = 24, seed: int = 0,
     )
 
 
-def emit_couplings(cluster: SyntheticCluster, lattice, min_detectable: float = 3.0,
+def emit_couplings(cluster: SyntheticCluster, table: SiteTable, min_detectable: float = 3.0,
                    noise: NoiseModel = None, seed: int = None,
                    physics: Physics = DEFAULT_PHYSICS):
     """Noisy SEDOR table for all pairs whose measured frequency is at or
     above min_detectable.  Format-identical to the placement input."""
-    table = lattice if isinstance(lattice, SiteTable) else SiteTable(lattice)
     noise = cluster.noise_model if noise is None else noise
     seed = cluster.seed if seed is None else seed
     rng = np.random.default_rng(_seed_tuple(seed) + (0xC0FFEE,))
@@ -304,10 +304,9 @@ def emit_couplings(cluster: SyntheticCluster, lattice, min_detectable: float = 3
     return out
 
 
-def truth_graph_connected(cluster: SyntheticCluster, lattice, min_detectable: float = 3.0,
+def truth_graph_connected(cluster: SyntheticCluster, table: SiteTable, min_detectable: float = 3.0,
                           physics: Physics = DEFAULT_PHYSICS) -> bool:
     """True when the noiseless coupling graph connects every spin to Si1."""
-    table = lattice if isinstance(lattice, SiteTable) else SiteTable(lattice)
     labels = sorted(cluster.truth.keys())
     idx_of = {lab: table.index_of_site(site) for lab, site in cluster.truth.items()}
     adj = {lab: set() for lab in labels}
@@ -326,14 +325,14 @@ def truth_graph_connected(cluster: SyntheticCluster, lattice, min_detectable: fl
     return len(seen) == len(labels)
 
 
-def generate_connected_cluster(lattice, n_si, n_c, structure=ClusterStructure(),
+def generate_connected_cluster(table, n_si, n_c, structure=ClusterStructure(),
                                seed=0, noise=NoiseModel(), min_detectable=3.0,
                                max_tries=40, physics=DEFAULT_PHYSICS):
     """generate_cluster, retried deterministically until the noiseless
     coupling graph is connected from the anchor."""
     for t in range(max_tries):
-        cluster = generate_cluster(lattice, n_si, n_c, structure, (seed, t), noise)
-        if truth_graph_connected(cluster, lattice, min_detectable, physics):
+        cluster = generate_cluster(table, n_si, n_c, structure, (seed, t), noise)
+        if truth_graph_connected(cluster, table, min_detectable, physics):
             return cluster
     raise InputError(
         f"no connected cluster found in {max_tries} attempts for seed {seed}"

@@ -191,7 +191,7 @@ def test_criterion_05_ambiguity_honesty(table26):
     }
     expected = set()
     for i in table26.by_species["Si"]:
-        site = table26.sites[i]
+        site = table26.site(i)
         if site.key() in occupied or site.key() == anchor.key():
             continue
         if abs(oracle_sedor(site.position, "Si", anchor.position, "Si") - 4.5) <= 0.6:

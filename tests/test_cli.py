@@ -121,6 +121,35 @@ class TestExitCodes:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "input"
 
+    def test_nan_sigma_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc = run(["synth", "couplings", "--truth", DATA / "truth_fixture.json",
+                  "--sigma", "nan", "--out", out])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input" and "amplitude" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["not json {", "[]", "{}"])
+    @pytest.mark.parametrize("command", [
+        ["refine", "--couplings", FIXTURE, "--solution"],
+        ["place", "--couplings"],
+        ["export-graph", "--couplings", FIXTURE, "--solution"],
+        ["synth", "couplings", "--truth"],
+        ["calibrate", "--dft", "DFT", "--freqs"],
+    ], ids=["refine", "place", "export-graph", "synth-couplings", "calibrate"])
+    def test_malformed_json_input_is_input_error(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        dft = tmp_path / "dft.csv"
+        dft.write_text("label,A_zz_Hz,A_perp_Hz\nSi5,-150000.0,700.0\n")
+        out = tmp_path / "out.json"
+        command = [dft if a == "DFT" else a for a in command]
+        assert run([*command, bad, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input" and "bad.json" in err["message"]
+        assert not out.exists()
+
     def test_refined_residual_above_initial_is_typed(self, tmp_path, capsys, monkeypatch):
         sols = tmp_path / "solutions.json"
         assert run(["place", "--couplings", FIXTURE, "--out", sols]) == 0

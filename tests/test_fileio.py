@@ -58,9 +58,9 @@ class TestCouplingsIO:
 
 class TestLatticeExport:
     def test_csv_columns_and_precision(self, tmp_path):
-        sites = build_lattice(LatticeParams(), 4.0)
+        lattice = build_lattice(LatticeParams(), 4.0)
         p = tmp_path / "lat.csv"
-        fileio.write_lattice_csv(p, sites)
+        fileio.write_lattice_csv(p, lattice)
         lines = p.read_text().splitlines()
         assert lines[0] == "species,i,j,k,basis,x,y,z"
         first = lines[1].split(",")
@@ -156,23 +156,31 @@ class TestSolutionsIO:
         from spinmap.placement import PlacementSolution
 
         sol = PlacementSolution(
-            {"Si1": table26.sites[0], "Si2": table26.sites[5]}, 0.25, (1, 2), 3
+            {"Si1": table26.site(0), "Si2": table26.site(5)}, 0.25, (1, 2), 3
         )
         p = tmp_path / "sol.json"
-        fileio.write_solutions_json(p, [sol], ambiguous={"Si2": [table26.sites[5]]})
+        fileio.write_solutions_json(p, [sol], ambiguous={"Si2": [table26.site(5)]})
         data = json.loads(p.read_text())
         assert data["n_solutions"] == 1
         assert data["solutions"][0]["residual_hz2"] == 0.25
         assert data["solutions"][0]["symmetry_multiplicity"] == 3
         pos = fileio.read_solution_positions(p)
-        assert np.allclose(pos["Si1"], table26.sites[0].position)
+        assert np.allclose(pos["Si1"], table26.site(0).position)
 
     def test_read_out_of_range_index(self, tmp_path, table26):
         from spinmap.placement import PlacementSolution
 
         p = tmp_path / "sol.json"
         fileio.write_solutions_json(
-            p, [PlacementSolution({"Si1": table26.sites[0]}, 0.0, (1,), 1)]
+            p, [PlacementSolution({"Si1": table26.site(0)}, 0.0, (1,), 1)]
         )
         with pytest.raises(InputError):
             fileio.read_solution_positions(p, index=4)
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe not text", b"{\"solutions\": [", b"[1, 2]",
+                                         b'{"solutions": [{"assignment": {"Si1": {}}}]}'])
+    def test_malformed_file_is_input_error(self, tmp_path, content):
+        p = tmp_path / "sol.json"
+        p.write_bytes(content)
+        with pytest.raises(InputError, match="sol.json"):
+            fileio.read_solution_positions(p)

@@ -103,18 +103,26 @@ class TestLatticeParams:
         assert sum(1 for r in rows if r[0] == "C") == 4
 
 
+def _radii(lattice):
+    """Per-site distance from the vacancy, as LatticeSite.r computes it."""
+    return np.array([np.linalg.norm(p) for p in lattice.positions])
+
+
 class TestBuildLattice:
     def test_tiny_radius_is_empty(self, params):
-        assert build_lattice(params, 0.5) == []
+        lattice = build_lattice(params, 0.5)
+        assert len(lattice) == 0
+        assert lattice.cells.shape == lattice.positions.shape == (0, 3)
+        assert len(SiteTable(lattice)) == 0
 
     def test_radius_2_gives_four_carbon_neighbors(self, params):
-        sites = build_lattice(params, 2.0)
-        assert len(sites) == 4
-        assert all(s.species == "C" for s in sites)
+        lattice = build_lattice(params, 2.0)
+        assert len(lattice) == 4
+        assert (lattice.species == "C").all()
         oracle = brute_force_basis_ball(params, 2.0)
         assert len(oracle) == 4
         assert all(sp == "C" for sp, _ in oracle)
-        assert sorted(s.r for s in sites) == pytest.approx(
+        assert sorted(_radii(lattice)) == pytest.approx(
             sorted(d for _, d in oracle)
         )
 
@@ -148,30 +156,36 @@ class TestBuildLattice:
     @example(LatticeParams(), 12.0)
     @example(LatticeParams(a=2.95, c=9.35), 12.0)  # z = -c/16 rounds on a 5-decimal tie
     def test_bit_identical_to_site_by_site_enumeration(self, params, radius):
-        sites = build_lattice(params, radius)
+        lattice = build_lattice(params, radius)
         ref = _reference_build_lattice(params, radius)
-        assert [(s.species, s.cell, s.basis) for s in sites] == [
-            (s.species, s.cell, s.basis) for s in ref
-        ]
-        assert all(type(x) is int for s in sites for x in (*s.cell, s.basis))
-        assert [s.position.tobytes() for s in sites] == [s.position.tobytes() for s in ref]
-        table = SiteTable(sites)
+        assert lattice.species.tolist() == [s.species for s in ref]
+        assert lattice.cells.tolist() == [list(s.cell) for s in ref]
+        assert lattice.basis.tolist() == [s.basis for s in ref]
+        assert lattice.positions.tobytes() == b"".join(s.position.tobytes() for s in ref)
+        table = SiteTable(lattice)
         assert table._index == {table._pos_key(s.position): i for i, s in enumerate(ref)}
+        for i, s in enumerate(ref):
+            site = table.site(i)
+            assert site == s
+            assert type(site.species) is str
+            assert all(type(x) is int for x in (*site.cell, site.basis))
+            assert site.position.tobytes() == s.position.tobytes()
 
     def test_sorted_by_distance_then_cell(self, params):
-        sites = build_lattice(params, 8.0)
-        keys = [(s.r, s.cell, s.basis) for s in sites]
+        lattice = build_lattice(params, 8.0)
+        keys = list(zip(_radii(lattice), map(tuple, lattice.cells.tolist()), lattice.basis))
         assert keys == sorted(keys)
 
     def test_radius_monotonicity(self, params):
-        inner = {(s.cell, s.basis) for s in build_lattice(params, 7.0)}
-        outer = {(s.cell, s.basis) for s in build_lattice(params, 8.0)}
-        assert inner <= outer
+        def keys(lattice):
+            return {(*cell, b) for cell, b in zip(lattice.cells.tolist(), lattice.basis.tolist())}
+
+        assert keys(build_lattice(params, 7.0)) <= keys(build_lattice(params, 8.0))
 
     def test_all_within_radius_and_origin_excluded(self, params):
-        sites = build_lattice(params, 9.0)
-        assert all(s.r <= 9.0 for s in sites)
-        assert all(s.r > 1.0 for s in sites)
+        r = _radii(build_lattice(params, 9.0))
+        assert (r <= 9.0).all()
+        assert (r > 1.0).all()
 
     def test_translational_consistency(self, params):
         vecs = params.cell_vectors()
@@ -203,10 +217,8 @@ class TestNeighborDistances:
             nearest_neighbor_distance(params, "N")
 
     def test_nn_distance_uniform_across_interior_sites(self, params):
-        sites = build_lattice(params, 12.0)
-        pos = np.array([s.position for s in sites])
-        is_si = np.array([s.species == "Si" for s in sites])
-        si_pos = pos[is_si]
+        lattice = build_lattice(params, 12.0)
+        si_pos = lattice.positions[lattice.species == "Si"]
         interior = [p for p in si_pos if np.linalg.norm(p) <= 8.0]
         dists = []
         for p in interior:
@@ -262,12 +274,33 @@ class TestSymmetry:
 class TestSiteTable:
     def test_index_roundtrip(self, table26):
         for i in (0, 17, len(table26) - 1):
-            assert table26.index_of_site(table26.sites[i]) == i
+            assert table26.index_of_site(table26.site(i)) == i
 
     @pytest.mark.parametrize("radius", [26.0, 28.5, 30.0])
     def test_every_site_found_at_its_index(self, params, radius):
         table = SiteTable(build_lattice(params, radius))
-        assert all(table.index_of_site(site) == i for i, site in enumerate(table.sites))
+        assert all(table.index_of_site(table.site(i)) == i for i in range(len(table)))
+
+    def test_list_position_found_on_rounding_tie(self):
+        # z = -0.584375 (c/16) sits on a 5-decimal tie: a Python float rounds
+        # it differently from the np.float64 the index was built from
+        table = SiteTable(build_lattice(LatticeParams(a=2.95, c=9.35), 6.0))
+        assert len(table) == 103
+        assert [table.index_of_position(table.positions[i].tolist())
+                for i in range(len(table))] == list(range(len(table)))
+
+    def test_site_owns_its_position(self, table26):
+        before = table26.positions.copy()
+        site = table26.site(0)
+        site.position[:] = 99.0
+        assert (table26.positions == before).all()
+        assert table26.site(0).position.tobytes() == before[0].tobytes()
+
+    def test_table_shares_the_lattice_columns(self, params):
+        lattice = build_lattice(params, 6.0)
+        table = SiteTable(lattice)
+        assert table.positions is lattice.positions
+        assert table.cells is lattice.cells
 
     def test_missing_position(self, table26):
         assert table26.index_of_position(np.array([0.123, 4.567, 8.9])) is None

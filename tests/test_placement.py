@@ -209,7 +209,7 @@ class TestCandidateSites:
         d = np.linalg.norm(pos[si_idx] - pos[p9], axis=1)
         p12 = si_idx[int(np.argmax(d))]
         assert np.linalg.norm(pos[p9] - pos[p12]) > 21.5
-        placed = {"Si9": table26.sites[p9], "Si12": table26.sites[p12]}
+        placed = {"Si9": table26.site(p9), "Si12": table26.site(p12)}
         meas = [
             CouplingMeasurement("Si8", "Si9", 4.31, 0.2),
             CouplingMeasurement("Si8", "Si12", 4.87, 0.2),
@@ -225,7 +225,7 @@ class TestCandidateSites:
             assert not (abs(f9 - 4.31) <= 0.6 and abs(f12 - 4.87) <= 0.6)
 
     def test_connectivity_error(self, table26):
-        placed = {"Si1": table26.sites[0]}
+        placed = {"Si1": table26.site(0)}
         meas = [CouplingMeasurement("Si5", "Si6", 8.0, 0.2)]
         with pytest.raises(ConnectivityError):
             candidate_sites(placed, "Si5", meas, table26, PlacementConfig())
@@ -365,7 +365,7 @@ class TestSymmetryEquivariance:
         }
         assert None not in images.values()
         mapped = dataclasses.replace(
-            cluster, truth={lab: table26.sites[i] for lab, i in images.items()}
+            cluster, truth={lab: table26.site(i) for lab, i in images.items()}
         )
         config = PlacementConfig(tolerance_overrides={("Si1", "Si2"): 3.0})
         results = []
@@ -424,7 +424,7 @@ class TestAmbiguity:
         }
         expected = set()
         for i in table26.by_species["Si"]:
-            site = table26.sites[i]
+            site = table26.site(i)
             if site.key() in occupied or site.key() == anchor_site.key():
                 continue
             f = oracle_sedor(site.position, "Si", anchor_site.position, "Si")

@@ -22,6 +22,22 @@ class TestNoiseModel:
         with pytest.raises(InputError):
             NoiseModel("gaussian", -0.1)
 
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -0.1])
+    def test_rejects_amplitude_it_cannot_draw(self, amplitude):
+        with pytest.raises(InputError, match="amplitude"):
+            NoiseModel("gaussian", amplitude)
+
+    @pytest.mark.parametrize("sigmas", [0.0, 0.5, -3.0, float("nan"), float("inf")])
+    def test_rejects_truncation_it_cannot_honour(self, sigmas):
+        # a cap of 0 sigma never accepts a draw; NaN would silently not truncate
+        with pytest.raises(InputError, match="truncate_sigmas"):
+            NoiseModel("gaussian", 0.2, sigmas)
+
+    def test_truncation_limits_accepted(self):
+        rng = np.random.default_rng(0)
+        assert np.abs(NoiseModel("gaussian", 0.2, 1.0).draw(rng, 1000)).max() <= 0.2
+        assert np.abs(NoiseModel("gaussian", 0.2, None).draw(rng, 20000)).max() > 0.6
+
     def test_truncation_bound(self):
         rng = np.random.default_rng(0)
         x = NoiseModel("gaussian", 0.2, 3.0).draw(rng, 20000)
