@@ -41,22 +41,16 @@ def field_scan_min_aperp(
     species: SpinSpecies,
     delta_b_grid=None,
     subspaces=(1.5, -1.5),
-    metric: str = "aperp",
 ) -> FieldScanResult:
     """Scan field corrections dB, re-invert the hyperfine pair at each, and
-    return the dB minimizing the mismatch to the DFT reference.
-
-    metric "aperp" compares |A_perp - A_perp,dft| (suited to in-plane spins
-    whose transverse coupling should be minimal); "joint" also includes the
-    A_zz mismatch in quadrature.
+    return the dB minimizing |A_perp - A_perp,dft| (suited to in-plane spins
+    whose transverse coupling should be minimal).
     """
     if delta_b_grid is None:
         delta_b_grid = np.arange(-5.0, 5.0 + 1e-12, 0.01)
     grid = np.asarray(delta_b_grid, dtype=float)
     if grid.size < 3:
         raise InputError("delta_b_grid needs at least 3 points")
-    if metric not in ("aperp", "joint"):
-        raise InputError(f"unknown metric {metric!r}")
     mism = np.full(grid.size, np.inf)
     a_zz = np.full(grid.size, np.nan)
     a_perp = np.full(grid.size, np.nan)
@@ -70,12 +64,7 @@ def field_scan_min_aperp(
             continue
         a_zz[i] = hf.a_zz
         a_perp[i] = hf.a_perp
-        if metric == "aperp":
-            mism[i] = abs(hf.a_perp - dft_reference.a_perp)
-        else:
-            mism[i] = math.hypot(
-                hf.a_perp - dft_reference.a_perp, hf.a_zz - dft_reference.a_zz
-            )
+        mism[i] = abs(hf.a_perp - dft_reference.a_perp)
     if not np.isfinite(mism).any():
         raise InversionError("hyperfine inversion failed on every grid point")
     k = int(np.argmin(mism))

@@ -9,7 +9,6 @@ outputs.
 """
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -179,17 +178,10 @@ def _read_freqs_file(path):
 
 
 def _read_dft_csv(path):
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expect = ["label", "A_zz_Hz", "A_perp_Hz"]
-        if reader.fieldnames != expect:
-            raise InputError(f"{path}: expected columns {expect}")
-        for row in reader:
-            out[row["label"]] = HyperfineTensor(
-                float(row["A_zz_Hz"]), float(row["A_perp_Hz"]), 0.0
-            )
-    return out
+    rows = fileio.read_csv_rows(path, ["label", "A_zz_Hz", "A_perp_Hz"], lambda row: (
+        row["label"], HyperfineTensor(float(row["A_zz_Hz"]), float(row["A_perp_Hz"]), 0.0)
+    ))
+    return dict(rows)
 
 
 def cmd_calibrate(args, physics):

@@ -34,28 +34,34 @@ def write_couplings_csv(path, measurements):
             w.writerow([m.spin_a, m.spin_b, repr(m.f_ij), repr(m.sigma), m.subspace_mode])
 
 
-def read_couplings_csv(path):
+def read_csv_rows(path, columns, parse):
+    """[parse(row) for each row] of a CSV file with exactly these columns.
+
+    InputError names the file if it is not UTF-8 text or has other columns,
+    and the file and line if parse raises ValueError, TypeError (a short
+    row) or InputError.
+    """
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != COUPLING_COLUMNS:
-            raise InputError(
-                f"{path}: expected columns {COUPLING_COLUMNS}, got {reader.fieldnames}"
-            )
-        for i, row in enumerate(reader, start=2):
-            try:
-                out.append(
-                    CouplingMeasurement(
-                        row["spin_a"],
-                        row["spin_b"],
-                        float(row["f_hz"]),
-                        float(row["sigma_hz"]),
-                        row["subspace_mode"],
-                    )
-                )
-            except (ValueError, InputError) as exc:
-                raise InputError(f"{path}:{i}: {exc}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != columns:
+                raise InputError(f"{path}: expected columns {columns}, got {reader.fieldnames}")
+            for row in reader:
+                try:
+                    out.append(parse(row))
+                except (InputError, TypeError, ValueError) as exc:
+                    raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a UTF-8 text file: {exc}") from exc
     return out
+
+
+def read_couplings_csv(path):
+    return read_csv_rows(path, COUPLING_COLUMNS, lambda row: CouplingMeasurement(
+        row["spin_a"], row["spin_b"], float(row["f_hz"]), float(row["sigma_hz"]),
+        row["subspace_mode"],
+    ))
 
 
 def read_json(path):
@@ -181,15 +187,9 @@ def write_trace_csv(path, trace: TimeTrace):
 
 
 def read_trace_csv(path):
-    ts, cs = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["t_s", "counts_per_s"]:
-            raise InputError(f"{path}: expected columns t_s,counts_per_s")
-        for row in reader:
-            ts.append(float(row["t_s"]))
-            cs.append(float(row["counts_per_s"]))
-    return TimeTrace(np.array(ts), np.array(cs))
+    rows = read_csv_rows(path, ["t_s", "counts_per_s"],
+                         lambda row: (float(row["t_s"]), float(row["counts_per_s"])))
+    return TimeTrace(np.array([t for t, _ in rows]), np.array([c for _, c in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,4 +317,8 @@ def _parse_value(token: str, lineno: int):
 
 
 def read_config(path) -> dict:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a UTF-8 text file: {exc}") from exc
+    return parse_config_text(text)

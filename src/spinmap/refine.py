@@ -17,14 +17,15 @@ import numpy as np
 from .errors import InputError, NonConvergenceError
 from .spinphys import DEFAULT_PHYSICS, Physics, dipolar_alpha, species_for_label
 
+MAX_ITERATIONS = 500
+GRADIENT_TOL_REL = 1e-8  # vs initial gradient norm
+STEP_TOL = 1e-6  # angstrom
+COST_TOL_REL = 1e-12  # relative decrease treated as stagnation
+
 
 @dataclass(frozen=True)
 class RefinementConfig:
     anchor: str = "Si1"
-    max_iterations: int = 500
-    gradient_tol_rel: float = 1e-8  # vs initial gradient norm
-    step_tol: float = 1e-6  # angstrom
-    cost_tol_rel: float = 1e-12  # relative decrease treated as stagnation
     physics: Physics = DEFAULT_PHYSICS
 
 
@@ -202,7 +203,7 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
     x = np.zeros(param.n_params)
     total_sign_flips = 0
     for sign_round in range(3):
-        x, info = _levenberg_marquardt(base, x, terms, signs, param, config)
+        x, info = _levenberg_marquardt(base, x, terms, signs, param)
         pos = param.apply(base, x)
         flips = 0
         for k, (a, b, f, alpha) in enumerate(terms):
@@ -248,7 +249,7 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
     )
 
 
-def _levenberg_marquardt(base, x0, terms, signs, param, config):
+def _levenberg_marquardt(base, x0, terms, signs, param):
     """Damped least squares with Marquardt scaling and gain-ratio damping
     updates.  Accepted steps strictly decrease the residual."""
     x = x0.copy()
@@ -261,8 +262,8 @@ def _levenberg_marquardt(base, x0, terms, signs, param, config):
     nu = 2.0
     iterations = 0
     converged_by = None
-    for _ in range(config.max_iterations):
-        if float(np.linalg.norm(2.0 * g)) <= config.gradient_tol_rel * g0:
+    for _ in range(MAX_ITERATIONS):
+        if float(np.linalg.norm(2.0 * g)) <= GRADIENT_TOL_REL * g0:
             converged_by = "gradient"
             break
         accepted = False
@@ -297,15 +298,15 @@ def _levenberg_marquardt(base, x0, terms, signs, param, config):
         if not accepted:
             converged_by = "step"  # no decreasing step exists at float precision
             break
-        if float(np.max(np.abs(step))) < config.step_tol:
+        if float(np.max(np.abs(step))) < STEP_TOL:
             converged_by = "step"
             break
-        if decrease <= config.cost_tol_rel * max(cost, 1e-30):
+        if decrease <= COST_TOL_REL * max(cost, 1e-30):
             converged_by = "cost"
             break
     if converged_by is None:
         raise NonConvergenceError(
-            f"no convergence in {config.max_iterations} iterations",
+            f"no convergence in {MAX_ITERATIONS} iterations",
             diagnostics={
                 "cost": cost,
                 "gradient_norm": float(np.linalg.norm(2.0 * g)),

@@ -14,8 +14,17 @@ import numpy as np
 
 from .errors import InputError
 from .lattice import SiteTable
-from .placement import CouplingMeasurement, _sedor_between, find_anchor_site
+from .placement import CouplingMeasurement, find_anchor_site, sedor_between
 from .spinphys import DEFAULT_PHYSICS, Physics
+
+MAX_TRIES = 40  # deterministic redraws of a cluster before giving up
+
+SPREAD_TARGET = 24  # Si sites drawn
+SPREAD_MIN_SEPARATION = 4.2  # A between any two of them
+SPREAD_BALL_RADIUS = 12.5  # A from the vacancy
+SPREAD_MIN_DEGREE = 4  # couplings each kept spin needs ...
+SPREAD_MIN_DETECTABLE = 3.0  # ... at or above this (Hz)
+SPREAD_MIN_CORE = 10  # spins the prune must leave
 
 
 @dataclass(frozen=True)
@@ -61,16 +70,12 @@ class ClusterStructure:
     n_clusters: int = 4
     size_min: int = 5
     size_max: int = 7
-    seed_min_sep: float = 6.5  # A between sub-cluster seed sites
-    seed_max_link: float = 8.5  # A, each new seed within reach of another
 
     def __post_init__(self):
         if self.kind not in ("clustered", "random"):
             raise InputError(f"unknown structure kind {self.kind!r}")
         if self.kind == "clustered" and not (1 <= self.size_min <= self.size_max):
             raise InputError("cluster sizes must satisfy 1 <= size_min <= size_max")
-        if self.seed_min_sep > self.seed_max_link:
-            raise InputError("seed_min_sep must not exceed seed_max_link")
 
 
 def _seed_tuple(seed):
@@ -158,8 +163,8 @@ def generate_cluster(
         pos = table.positions
         r = np.linalg.norm(pos, axis=1)
         ball = 12.0
-        si_pool = [i for i in si_idx_all if r[i] <= ball and i != anchor_idx]
-        c_pool = [i for i in c_idx_all if r[i] <= ball]
+        si_pool = si_idx_all[(r[si_idx_all] <= ball) & (si_idx_all != anchor_idx)]
+        c_pool = c_idx_all[r[c_idx_all] <= ball]
         chosen_si += [int(i) for i in rng.choice(si_pool, size=n_si - 1, replace=False)]
         chosen_c += [int(i) for i in rng.choice(c_pool, size=n_c, replace=False)]
         cluster_of_site.update({i: 0 for i in chosen_si + chosen_c})
@@ -179,10 +184,7 @@ def generate_cluster(
         c_in_cluster = [0] * k
         for i in range(n_c):
             c_in_cluster[int(rng.integers(0, k))] += 1
-        seeds = _pick_cluster_seeds(
-            table, rng, anchor_idx, k,
-            min_sep=structure.seed_min_sep, max_link=structure.seed_max_link,
-        )
+        seeds = _pick_cluster_seeds(table, rng, anchor_idx, k)
         taken = {anchor_idx}
         pos = table.positions
         for ci, (seed_idx, size) in enumerate(zip(seeds, sizes)):
@@ -226,62 +228,65 @@ def generate_cluster(
     return SyntheticCluster(truth, noise, _seed_tuple(seed), cluster_of)
 
 
-def generate_spread_cluster(table: SiteTable, n_target: int = 24, seed: int = 0,
-                            noise: NoiseModel = NoiseModel(), min_separation: float = 4.2,
-                            ball_radius: float = 12.5, min_degree: int = 4,
-                            min_detectable: float = 3.0, min_core: int = 10,
-                            max_tries: int = 40,
+def generate_spread_cluster(table: SiteTable, seed: int = 0, noise: NoiseModel = NoiseModel(),
                             physics: Physics = DEFAULT_PHYSICS) -> SyntheticCluster:
     """Loosely packed all-silicon cluster for refinement studies.
 
-    Samples up to n_target Si sites with pairwise separation above
-    min_separation inside ball_radius, then prunes spins until every
-    remaining spin has at least min_degree noiseless couplings >=
-    min_detectable.  The surviving core (>= min_core spins, anchor always
-    kept) carries mostly weak couplings, so refined positions respond to
-    noise on the angstrom scale.  Retries deterministically when the prune
-    cascades below min_core.
+    Samples up to SPREAD_TARGET Si sites with pairwise separation above
+    SPREAD_MIN_SEPARATION inside SPREAD_BALL_RADIUS, then prunes spins until
+    every remaining spin has at least SPREAD_MIN_DEGREE noiseless couplings >=
+    SPREAD_MIN_DETECTABLE.  The surviving core (>= SPREAD_MIN_CORE spins,
+    anchor always kept) carries mostly weak couplings, so refined positions
+    respond to noise on the angstrom scale.  Retries deterministically when
+    the prune cascades below SPREAD_MIN_CORE.
     """
     anchor_idx = find_anchor_site(table)
     pos = table.positions
     r = np.linalg.norm(pos, axis=1)
-    pool = [int(i) for i in table.by_species["Si"] if r[i] <= ball_radius]
+    pool = [int(i) for i in table.by_species["Si"] if r[i] <= SPREAD_BALL_RADIUS]
 
     def degrees(nodes):
-        deg = {i: 0 for i in nodes}
-        for x, a in enumerate(nodes):
-            for b in nodes[x + 1:]:
-                if _sedor_between(table, a, b, physics) >= min_detectable:
-                    deg[a] += 1
-                    deg[b] += 1
-        return deg
+        """Detectable couplings of each node, by its position in nodes."""
+        a, b = np.triu_indices(len(nodes), 1)
+        sites = np.array(nodes)
+        strong = sedor_between(table, sites[a], sites[b], physics) >= SPREAD_MIN_DETECTABLE
+        return (np.bincount(a[strong], minlength=len(nodes))
+                + np.bincount(b[strong], minlength=len(nodes))).tolist()
 
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         rng = np.random.default_rng(_seed_tuple(seed) + (attempt, 0x5B12EAD))
         chosen = [anchor_idx]
         for _ in range(8000):
-            if len(chosen) >= n_target:
+            if len(chosen) >= SPREAD_TARGET:
                 break
             cand = int(rng.choice(pool))
-            if np.linalg.norm(pos[chosen] - pos[cand], axis=1).min() >= min_separation:
+            if np.linalg.norm(pos[chosen] - pos[cand], axis=1).min() >= SPREAD_MIN_SEPARATION:
                 chosen.append(cand)
-        nodes = chosen[:]
+        # the survivors are the largest set in which every spin but the anchor
+        # (nodes[0]) keeps SPREAD_MIN_DEGREE, whatever order weak spins go in
+        nodes = chosen
         while True:
             deg = degrees(nodes)
-            weak = sorted(
-                (i for i in nodes if deg[i] < min_degree and i != anchor_idx),
-                key=lambda i: (deg[i], nodes.index(i)),
-            )
-            if not weak:
+            keep = [x == 0 or n >= SPREAD_MIN_DEGREE for x, n in enumerate(deg)]
+            if all(keep):
                 break
-            nodes.remove(weak[0])
-        if len(nodes) >= min_core and degrees(nodes)[anchor_idx] >= 1:
+            nodes = [i for i, k in zip(nodes, keep) if k]
+        if len(nodes) >= SPREAD_MIN_CORE and deg[0] >= 1:
             truth = {f"Si{n}": table.site(i) for n, i in enumerate(nodes, start=1)}
             return SyntheticCluster(truth, noise, _seed_tuple(seed), {lab: 0 for lab in truth})
     raise InputError(
-        f"no spread cluster with >= {min_core} spins found in {max_tries} "
+        f"no spread cluster with >= {SPREAD_MIN_CORE} spins found in {MAX_TRIES} "
         f"attempts for seed {seed}"
     )
+
+
+def _truth_pair_sedor(cluster: SyntheticCluster, table: SiteTable, physics: Physics):
+    """Sorted labels, the label indices (a, b) of every pair a < b in row
+    order, and each pair's noiseless |C_zz|/2."""
+    labels = sorted(cluster.truth)
+    sites = np.array([table.index_of_site(cluster.truth[lab]) for lab in labels])
+    a, b = np.triu_indices(len(labels), 1)
+    return labels, a, b, sedor_between(table, sites[a], sites[b], physics)
 
 
 def emit_couplings(cluster: SyntheticCluster, table: SiteTable, min_detectable: float = 3.0,
@@ -292,50 +297,40 @@ def emit_couplings(cluster: SyntheticCluster, table: SiteTable, min_detectable: 
     noise = cluster.noise_model if noise is None else noise
     seed = cluster.seed if seed is None else seed
     rng = np.random.default_rng(_seed_tuple(seed) + (0xC0FFEE,))
-    labels = sorted(cluster.truth.keys())
-    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    idx_of = {lab: table.index_of_site(site) for lab, site in cluster.truth.items()}
-    f_true = np.array([_sedor_between(table, idx_of[a], idx_of[b], physics) for a, b in pairs])
-    f_meas = f_true + noise.draw(rng, len(pairs))
-    out = []
-    for (a, b), f in zip(pairs, f_meas):
-        if f >= min_detectable:
-            out.append(CouplingMeasurement(a, b, float(f), noise.sigma, "averaged"))
-    return out
+    labels, a, b, f_true = _truth_pair_sedor(cluster, table, physics)
+    f_meas = f_true + noise.draw(rng, f_true.size)
+    return [
+        CouplingMeasurement(labels[x], labels[y], f, noise.sigma, "averaged")
+        for x, y, f in zip(a.tolist(), b.tolist(), f_meas.tolist())
+        if f >= min_detectable
+    ]
 
 
 def truth_graph_connected(cluster: SyntheticCluster, table: SiteTable, min_detectable: float = 3.0,
                           physics: Physics = DEFAULT_PHYSICS) -> bool:
     """True when the noiseless coupling graph connects every spin to Si1."""
-    labels = sorted(cluster.truth.keys())
-    idx_of = {lab: table.index_of_site(site) for lab, site in cluster.truth.items()}
-    adj = {lab: set() for lab in labels}
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            if _sedor_between(table, idx_of[a], idx_of[b], physics) >= min_detectable:
-                adj[a].add(b)
-                adj[b].add(a)
-    seen = {"Si1"}
-    stack = ["Si1"]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(labels)
+    labels, a, b, f = _truth_pair_sedor(cluster, table, physics)
+    a, b = a[f >= min_detectable], b[f >= min_detectable]
+    seen = np.array([lab == "Si1" for lab in labels])
+    while True:  # add every spin coupled to a seen one, until nothing is added
+        grown = seen.copy()
+        grown[b[seen[a]]] = grown[a[seen[b]]] = True
+        if (grown == seen).all():
+            return bool(seen.all())
+        seen = grown
 
 
 def generate_connected_cluster(table, n_si, n_c, structure=ClusterStructure(),
                                seed=0, noise=NoiseModel(), min_detectable=3.0,
-                               max_tries=40, physics=DEFAULT_PHYSICS):
+                               physics=DEFAULT_PHYSICS):
     """generate_cluster, retried deterministically until the noiseless
     coupling graph is connected from the anchor."""
-    for t in range(max_tries):
+    for t in range(MAX_TRIES):
         cluster = generate_cluster(table, n_si, n_c, structure, (seed, t), noise)
         if truth_graph_connected(cluster, table, min_detectable, physics):
             return cluster
     raise InputError(
-        f"no connected cluster found in {max_tries} attempts for seed {seed}"
+        f"no connected cluster found in {MAX_TRIES} attempts for seed {seed}"
     )
 
 

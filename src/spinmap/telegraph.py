@@ -153,11 +153,10 @@ def fit_rates(dwells, method: str = "mle") -> RateEstimate:
 
 
 def analyze_trace(trace: TimeTrace, window: int = DEFAULT_WINDOW,
-                  threshold: float = DEFAULT_THRESHOLD, method: str = "mle",
-                  include_censored: bool = False) -> TelegraphResult:
+                  threshold: float = DEFAULT_THRESHOLD, method: str = "mle") -> TelegraphResult:
     """Full pipeline: smooth, threshold, dwell times, exponential rates."""
     states = smooth_and_threshold(trace, window, threshold)
-    bright, dark = dwell_times(states, trace.dt, include_censored)
+    bright, dark = dwell_times(states, trace.dt)
     return TelegraphResult(
         rate_bright_to_dark=fit_rates(bright, method),
         rate_dark_to_bright=fit_rates(dark, method),

@@ -150,12 +150,33 @@ class TestExitCodes:
         assert err["error"] == "input" and "bad.json" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, content, where", [
+        (["telegraph", "--trace"], b"t_s,counts_per_s\n0.0,100.0\n0.005,abc\n", "bad.csv:3"),
+        (["calibrate", "--freqs", "FREQS", "--dft"],
+         b"label,A_zz_Hz,A_perp_Hz\nSi5,x,700.0\n", "bad.csv:2"),
+        (["place", "--couplings"],
+         b"spin_a,spin_b,f_hz,sigma_hz,subspace_mode\nSi1,Si2,5.0,0.2,averag\xe9\n", "bad.csv"),
+    ], ids=["telegraph", "calibrate", "place"])
+    def test_malformed_csv_input_is_input_error(self, tmp_path, capsys, command, content, where):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        freqs = tmp_path / "freqs.json"
+        freqs.write_text(json.dumps(
+            {"field_gauss": 1960.9, "spins": {"Si5": {"f_plus": 1.0, "f_minus": 2.0}}}
+        ))
+        out = tmp_path / "out.json"
+        command = [freqs if a == "FREQS" else a for a in command]
+        assert run([*command, bad, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input" and where in err["message"]
+        assert not out.exists()
+
     def test_refined_residual_above_initial_is_typed(self, tmp_path, capsys, monkeypatch):
         sols = tmp_path / "solutions.json"
         assert run(["place", "--couplings", FIXTURE, "--out", sols]) == 0
         capsys.readouterr()
 
-        def worse_step(base, x0, terms, signs, param, config):
+        def worse_step(base, x0, terms, signs, param):
             info = {"iterations": 1, "converged_by": "step", "gradient_norm": 0.0}
             return x0 + 0.5, info
 
@@ -355,6 +376,12 @@ class TestConstantsAndConfig:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("tolerance 0.6\n")
         assert run(["--config", cfg, "constants"]) == 2
+
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"[place]\ntolerance = 0.\xe96\n")
+        assert run(["--config", cfg, "constants"]) == 2
+        assert "cfg.txt: not a UTF-8 text file" in capsys.readouterr().err
 
     def test_gamma_override_changes_placement(self, tmp_path, capsys):
         out = tmp_path / "s.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import drawn_lattices
 from spinmap.errors import CapacityError, InputError
 from spinmap.lattice import (
     LatticeParams,
@@ -57,17 +58,6 @@ def _reference_build_lattice(params, radius):
                         sites.append(LatticeSite(species, (i, j, k), b, pos))
     sites.sort(key=lambda s: (s.r, s.cell, s.basis))
     return sites
-
-
-@st.composite
-def drawn_lattices(draw):
-    """Cell constants within 5 % of ideal for a valid stacking, any k variant."""
-    stacking = draw(st.sampled_from(["ABCB", "ABCACB", "ABC"]))
-    a = draw(st.floats(0.95 * 3.073, 1.05 * 3.073))
-    c = a * len(stacking) * math.sqrt(2.0 / 3.0) * draw(st.floats(0.951, 1.049))
-    n_k = len(LatticeParams(a=a, c=c, stacking=stacking).k_layers())
-    k_variant = draw(st.integers(0, n_k - 1))
-    return LatticeParams(a=a, c=c, stacking=stacking, k_variant=k_variant)
 
 
 class TestLatticeParams:

@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import drawn_lattices, reference_sedor_between
 from spinmap.errors import (
     CapacityError,
     ConnectivityError,
@@ -19,9 +20,12 @@ from spinmap.placement import (
     canonical_assignment,
     order_heuristic,
     place_all,
+    sedor_between,
     tolerance_for_pair,
     _table_symmetry_ops,
 )
+from spinmap.lattice import LatticeParams, SiteTable, build_lattice
+from spinmap.spinphys import DEFAULT_PHYSICS, Physics
 from spinmap.synth import ClusterStructure, NoiseModel, emit_couplings, generate_connected_cluster
 
 # Independent dipolar evaluation for the soundness checker and brute-force
@@ -377,6 +381,36 @@ class TestSymmetryEquivariance:
         (n0, res0), (n1, res1) = results
         assert n1 == n0
         assert res1 == pytest.approx(res0, rel=1e-9, abs=0.0)
+
+
+class TestSedorBetween:
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_lattices(), st.data(), st.booleans())
+    @example(LatticeParams(), None, False)
+    @example(LatticeParams(a=2.95, c=9.35), None, False)
+    @example(LatticeParams(k_variant=1), None, True)
+    @example(LatticeParams(a=3.1441310022343236, c=9.765523099443373), None, False)  # z ** 2
+    def test_bit_identical_to_scalar_pairs(self, params, data, other_gammas):
+        table = SiteTable(build_lattice(params, 9.0))
+        physics = Physics.from_gammas(-7.1e6, 11.3e6) if other_gammas else DEFAULT_PHYSICS
+        by_sp = {sp: idx.tolist() for sp, idx in table.by_species.items()}
+        if data is None:  # the explicit examples take the first sites of each species
+            sites = by_sp["Si"][:8] + by_sp["C"][:8]
+        else:
+            sites = [
+                i
+                for sp in ("Si", "C")
+                for i in data.draw(st.lists(st.sampled_from(by_sp[sp]), min_size=2,
+                                            max_size=8, unique=True))
+            ]
+        # every ordered pair: Si-Si, Si-C, C-Si and C-C, each in both orders
+        i, j = zip(*[(a, b) for a in sites for b in sites if a != b])
+        want = np.array([reference_sedor_between(table, a, b, physics) for a, b in zip(i, j)])
+        got = sedor_between(table, np.array(i), np.array(j), physics)
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_pair_list(self, table26):
+        assert sedor_between(table26, [], [], DEFAULT_PHYSICS).shape == (0,)
 
 
 class TestSearchRadius:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from spinmap.errors import InputError
-from spinmap.placement import CouplingMeasurement, _sedor_between
+from conftest import reference_sedor_between
+from spinmap.lattice import LatticeParams, SiteTable, build_lattice
+from spinmap.placement import CouplingMeasurement
 from spinmap.spinphys import DEFAULT_PHYSICS
 from spinmap.synth import (
     ClusterStructure,
@@ -99,6 +101,17 @@ class TestGenerateCluster:
         cluster = generate_cluster(table26, 8, 2, ClusterStructure("random"), seed=4)
         assert len(cluster.truth) == 10
 
+    def test_w6_truth_sites_unchanged(self):
+        # the W6 stress table (24 Si, random, seed 0, 30 A lattice): its draws
+        # from the random-mode pools must not move
+        table = SiteTable(build_lattice(LatticeParams(), 30.0))
+        cluster = generate_cluster(table, 24, 0, ClusterStructure("random"), seed=0)
+        assert list(cluster.truth) == [f"Si{n}" for n in range(1, 25)]
+        assert [table.index_of_site(s) for s in cluster.truth.values()] == [
+            48, 470, 428, 9, 203, 542, 54, 552, 178, 680, 426, 27,
+            198, 672, 415, 345, 372, 347, 403, 455, 639, 378, 127, 546,
+        ]
+
 
 class TestEmitCouplings:
     def test_noiseless_reproducible_by_dipolar_formula(self, table26):
@@ -108,7 +121,7 @@ class TestEmitCouplings:
         meas = emit_couplings(cluster, table26, 3.0, NoiseModel("none"))
         idx = {lab: table26.index_of_site(site) for lab, site in cluster.truth.items()}
         for m in meas:
-            f = _sedor_between(table26, idx[m.spin_a], idx[m.spin_b], DEFAULT_PHYSICS)
+            f = reference_sedor_between(table26, idx[m.spin_a], idx[m.spin_b], DEFAULT_PHYSICS)
             assert m.f_ij == pytest.approx(f, rel=1e-12)
             assert f >= 3.0
 
@@ -151,10 +164,19 @@ class TestConnectedAndSpread:
             deg = sum(
                 1
                 for b in labels
-                if b != a and _sedor_between(table26, idx[a], idx[b], DEFAULT_PHYSICS) >= 3.0
+                if b != a
+                and reference_sedor_between(table26, idx[a], idx[b], DEFAULT_PHYSICS) >= 3.0
             )
             # the anchor is never pruned (it is frozen during refinement)
             assert deg >= 4 or (a == "Si1" and deg >= 1)
+
+    @pytest.mark.parametrize("seed, sites", [
+        (0, [48, 63, 154, 201, 510, 673, 29, 9, 57, 169, 311, 59, 151, 728, 235]),
+        (2, [48, 290, 52, 91, 639, 352, 148, 82, 504, 697, 420, 27]),
+    ])
+    def test_spread_cluster_sites_unchanged(self, table26, seed, sites):
+        cluster = generate_spread_cluster(table26, seed=seed)
+        assert [table26.index_of_site(s) for s in cluster.truth.values()] == sites
 
     def test_spread_cluster_min_separation(self, table26):
         cluster = generate_spread_cluster(table26, seed=2)
