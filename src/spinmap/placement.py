@@ -14,6 +14,7 @@ the search (each partial tracks the residual stabilizer of its placed
 sites) and reported with their symmetry multiplicity.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ class CouplingMeasurement:
     def __post_init__(self):
         if self.spin_a == self.spin_b:
             raise InputError(f"self-coupling {self.spin_a!r}")
+        if not (math.isfinite(self.f_ij) and math.isfinite(self.sigma)):
+            raise InputError(f"f_ij and sigma must be finite, got {self.f_ij} and {self.sigma}")
         if self.f_ij < 0:
             raise InputError(f"f_ij must be >= 0, got {self.f_ij}")
         if self.sigma <= 0:
@@ -246,8 +249,6 @@ def _table_symmetry_ops(table: SiteTable):
     """Axial point-group ops (about z through the vacancy) of the site set,
     found empirically on the sites within 7.5 A, so the result follows the
     table's stacking and k_variant."""
-    import math
-
     r = np.linalg.norm(table.positions, axis=1)
     sel = r <= 7.5
     species, pos = table.species[sel], table.positions[sel]

@@ -52,33 +52,80 @@ class RefinementResult:
     sign_flips: int
 
 
-def _pair_terms(positions, measurements, physics):
-    labels = set(positions)
-    terms = []
-    for m in measurements:
-        if m.spin_a in labels and m.spin_b in labels:
-            alpha = dipolar_alpha(
-                species_for_label(m.spin_a, physics), species_for_label(m.spin_b, physics)
-            )
-            terms.append((m.spin_a, m.spin_b, m.f_ij, alpha))
-    return terms
+@dataclass(frozen=True)
+class _Terms:
+    """The measurements between assigned spins: pair k couples rows ia[k] and
+    ib[k] of a positions array."""
+
+    ia: np.ndarray
+    ib: np.ndarray
+    f: np.ndarray  # Hz
+    alpha: np.ndarray  # Hz*A^3
 
 
-def _czz_and_grad(pa, pb, alpha):
-    """C_zz (Hz) and its gradient w.r.t. pb (the gradient w.r.t. pa is the
-    negative)."""
-    d = pb - pa
-    r2 = float(d @ d)
-    if r2 < 1e-18:
+def _pair_terms(labels, measurements, physics) -> _Terms:
+    row = {lab: i for i, lab in enumerate(labels)}
+    terms = [
+        (row[m.spin_a], row[m.spin_b], m.f_ij, dipolar_alpha(
+            species_for_label(m.spin_a, physics), species_for_label(m.spin_b, physics)
+        ))
+        for m in measurements
+        if m.spin_a in row and m.spin_b in row
+    ]
+    ia, ib, f, alpha = zip(*terms) if terms else ((), (), (), ())
+    return _Terms(np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp),
+                  np.array(f, dtype=float), np.array(alpha, dtype=float))
+
+
+def _czz_with_gradient(pos, terms: _Terms):
+    """C_zz (Hz) of every pair, and its gradient (m, 3) w.r.t. pos[ib[k]]
+    (the gradient w.r.t. pos[ia[k]] is the negative).
+
+    Each value is bit for bit as if its pair were evaluated alone in scalar
+    arithmetic.  So the powers use Python's (libm's) pow per element: numpy's
+    array pow, and its x * x for ** 2, differ in the last bit for some values.
+    """
+    d = pos[terms.ib] - pos[terms.ia]
+    r2 = np.vecdot(d, d)  # d @ d per row
+    if np.any(r2 < 1e-18):
         raise InputError("coincident spin positions")
-    r = math.sqrt(r2)
-    inv_r5 = 1.0 / r2**2.5
-    czz = alpha * (3.0 * d[2] ** 2 * inv_r5 - 1.0 / r**3)
-    grad = alpha * (
-        (3.0 * inv_r5 - 15.0 * d[2] ** 2 / r2**3.5) * d
-        + np.array([0.0, 0.0, 6.0 * d[2] * inv_r5])
-    )
+    r2s = r2.tolist()
+    inv_r5 = 1.0 / np.array([x**2.5 for x in r2s])
+    r7 = np.array([x**3.5 for x in r2s])
+    r3 = np.array([x**3 for x in np.sqrt(r2).tolist()])
+    z = d[:, 2]
+    z2 = np.array([v**2 for v in z.tolist()])
+    czz = terms.alpha * (3.0 * z2 * inv_r5 - 1.0 / r3)
+    along_z = np.zeros_like(d)
+    along_z[:, 2] = 6.0 * z * inv_r5
+    grad = terms.alpha[:, None] * ((3.0 * inv_r5 - 15.0 * z2 / r7)[:, None] * d + along_z)
     return czz, grad
+
+
+def _signs(czz):
+    return np.where(czz >= 0, 1.0, -1.0)
+
+
+def _sum_in_order(values) -> float:
+    """values[0] + values[1] + ..., left to right like a scalar loop (np.sum
+    adds pairwise)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _position_rows(positions, labels):
+    """(L, 3) array of positions[label] (angstrom) in label order;
+    InputError naming the first label whose position is not a finite
+    3-vector."""
+    rows = np.zeros((len(labels), 3))
+    for i, lab in enumerate(labels):
+        try:
+            p = np.asarray(positions[lab], dtype=float)
+        except (TypeError, ValueError):
+            p = None
+        if p is None or p.shape != (3,) or not np.isfinite(p).all():
+            raise InputError(f"position of {lab!r} is not a finite 3-vector")
+        rows[i] = p
+    return rows
 
 
 def residual_and_gradient(positions, measurements, physics: Physics = DEFAULT_PHYSICS):
@@ -86,20 +133,19 @@ def residual_and_gradient(positions, measurements, physics: Physics = DEFAULT_PH
 
     positions: mapping label -> (3,) array in angstrom.  The gradient is
     returned as a mapping label -> (3,) array (Hz^2 per angstrom) over all
-    3N coordinates, before any gauge fixing.
+    3N coordinates, before any gauge fixing.  Both are summed in measurement
+    order.
     """
-    pos = {lab: np.asarray(p, dtype=float) for lab, p in positions.items()}
-    grad = {lab: np.zeros(3) for lab in pos}
-    eps = 0.0
-    for a, b, f, alpha in _pair_terms(pos, measurements, physics):
-        czz, dczz = _czz_and_grad(pos[a], pos[b], alpha)
-        r_k = f - 0.5 * abs(czz)
-        eps += r_k * r_k
-        s = 1.0 if czz >= 0 else -1.0
-        coeff = -r_k * s  # d eps/d czz, including the 2 from the square
-        grad[b] += coeff * dczz
-        grad[a] -= coeff * dczz
-    return eps, grad
+    labels = list(positions)
+    pos = _position_rows(positions, labels)
+    terms = _pair_terms(labels, measurements, physics)
+    czz, dczz = _czz_with_gradient(pos, terms)
+    r = terms.f - 0.5 * np.abs(czz)
+    step = (-r * _signs(czz))[:, None] * dczz  # d eps/d czz (with the 2 of the square) * dczz
+    grad = np.zeros_like(pos)
+    np.add.at(grad, np.stack([terms.ib, terms.ia], axis=1).ravel(),
+              np.stack([step, -step], axis=1).reshape(-1, 3))
+    return _sum_in_order(r * r), dict(zip(labels, grad))
 
 
 def displacement_report(initial, refined) -> DisplacementReport:
@@ -123,95 +169,103 @@ def displacement_report(initial, refined) -> DisplacementReport:
 
 class _Parameterization:
     """Free coordinates: 3 per non-anchor spin, minus one azimuthal
-    direction of the gauge spin (pinned about the anchor's vertical axis)."""
+    direction of the gauge spin (pinned about the anchor's vertical axis).
+    Spins are the rows of the base positions array, in label order."""
 
-    def __init__(self, labels, positions, anchor):
-        self.anchor = anchor
-        self.labels = [lab for lab in labels if lab != anchor]
-        self.blocks = {}
-        offset = 0
-        gauge_label = None
-        p0 = positions[anchor]
+    def __init__(self, labels, base, anchor, terms: _Terms):
+        self.anchor = labels.index(anchor)
+        self.gauge = -1
+        p0 = base[self.anchor]
         best_rho = 1e-9
-        for lab in self.labels:
-            rho = math.hypot(positions[lab][0] - p0[0], positions[lab][1] - p0[1])
-            if rho > best_rho + 1e-12:
+        for i, p in enumerate(base):
+            rho = math.hypot(p[0] - p0[0], p[1] - p0[1])
+            if i != self.anchor and rho > best_rho + 1e-12:
                 best_rho = rho
-                gauge_label = lab
-        self.gauge_label = gauge_label
-        for lab in self.labels:
-            if lab == gauge_label:
-                p0 = positions[self.anchor]
-                dx = positions[lab][0] - p0[0]
-                dy = positions[lab][1] - p0[1]
-                rho = math.hypot(dx, dy)
-                e_rho = np.array([dx / rho, dy / rho, 0.0])
-                basis = np.column_stack([e_rho, np.array([0.0, 0.0, 1.0])])
-            else:
-                basis = np.eye(3)
-            self.blocks[lab] = (offset, basis)
-            offset += basis.shape[1]
-        self.n_params = offset
+                self.gauge = i
+        width = np.full(len(labels), 3)
+        width[self.anchor] = 0
+        if self.gauge >= 0:
+            width[self.gauge] = 2
+        self.free = width == 3  # spins with an identity block of 3 columns
+        start = np.cumsum(width) - width
+        self.columns = start[:, None] + np.arange(3)
+        self.n_params = int(width.sum())
+        if self.gauge >= 0:
+            self.gauge_column = int(start[self.gauge])
+            dx = base[self.gauge, 0] - p0[0]
+            dy = base[self.gauge, 1] - p0[1]
+            rho = math.hypot(dx, dy)
+            e_rho = np.array([dx / rho, dy / rho, 0.0])
+            self.gauge_basis = np.column_stack([e_rho, np.array([0.0, 0.0, 1.0])])
+        # where pair k's gradient lands in the Jacobian: +grad at spin ib[k],
+        # -grad at spin ia[k]; a free spin's 3 columns take it as it is
+        spin = np.concatenate([terms.ib, terms.ia])
+        row = np.tile(np.arange(len(terms.ib)), 2)
+        side = np.repeat([1.0, -1.0], len(terms.ib))
+        free = self.free[spin]
+        self.free_rows, self.free_sides = row[free], side[free]
+        self.free_cells = self.free_rows[:, None] * self.n_params + self.columns[spin[free]]
+        gauge = spin == self.gauge
+        self.gauge_rows = list(zip(row[gauge].tolist(), side[gauge].tolist()))
 
-    def apply(self, base_positions, x):
-        out = {self.anchor: base_positions[self.anchor].copy()}
-        for lab in self.labels:
-            off, basis = self.blocks[lab]
-            out[lab] = base_positions[lab] + basis @ x[off:off + basis.shape[1]]
-        return out
+    def apply(self, base, x):
+        """Positions (L, 3) at parameters x; the anchor stays where it is."""
+        delta = np.zeros_like(base)
+        delta[self.free] = x[self.columns[self.free]]
+        if self.gauge >= 0:
+            delta[self.gauge] = self.gauge_basis @ x[self.gauge_column:self.gauge_column + 2]
+        pos = base + delta
+        pos[self.anchor] = base[self.anchor]
+        return pos
 
 
 def _residual_vector_and_jacobian(pos, terms, signs, param):
-    m = len(terms)
-    r = np.zeros(m)
-    jac = np.zeros((m, param.n_params))
-    for k, ((a, b, f, alpha), s) in enumerate(zip(terms, signs)):
-        czz, dczz = _czz_and_grad(pos[a], pos[b], alpha)
-        r[k] = f - 0.5 * s * czz
-        for lab, sign in ((b, 1.0), (a, -1.0)):
-            if lab == param.anchor:
-                continue
-            off, basis = param.blocks[lab]
-            jac[k, off:off + basis.shape[1]] += (-0.5 * s * sign) * (dczz @ basis)
+    czz, dczz = _czz_with_gradient(pos, terms)
+    r = terms.f - 0.5 * signs * czz
+    jac = np.zeros((len(r), param.n_params))
+    k = param.free_rows
+    # += on zeros, not =, so that -0.0 becomes 0.0 as in a scalar accumulation
+    jac.reshape(-1)[param.free_cells] += (-0.5 * signs[k] * param.free_sides)[:, None] * dczz[k]
+    # one row at a time: a stacked matmul may round the gauge column differently
+    for k, side in param.gauge_rows:
+        c = param.gauge_column
+        jac[k, c:c + 2] += (-0.5 * signs[k] * side) * (dczz[k] @ param.gauge_basis)
     return r, jac
 
 
 def refine(initial, measurements, config: RefinementConfig = RefinementConfig()):
     """Damped least-squares refinement from a discrete solution.
 
-    initial: PlacementSolution or mapping label -> position (angstrom).
+    initial: PlacementSolution or mapping label -> position (angstrom);
+    InputError names a label whose position is not a finite 3-vector.
     Residuals only ever decrease across accepted steps; convergence is by
     gradient norm, step size or stagnating cost (converged_by "gradient",
     "step" or "cost"), otherwise NonConvergenceError carries the last
     iterate.  A refined residual above the initial one also raises
     NonConvergenceError, with both residuals in its diagnostics.
     """
-    base = initial.positions() if hasattr(initial, "positions") else dict(initial)
-    base = {lab: np.asarray(p, dtype=float) for lab, p in base.items()}
-    if config.anchor not in base:
+    given = initial.positions() if hasattr(initial, "positions") else dict(initial)
+    if config.anchor not in given:
         raise InputError(f"anchor {config.anchor!r} missing from the assignment")
-    labels = sorted(base)
-    terms = _pair_terms(base, measurements, config.physics)
-    if not terms:
+    labels = sorted(given)
+    base = _position_rows(given, labels)
+    terms = _pair_terms(labels, measurements, config.physics)
+    if not len(terms.f):
         raise InputError("no measurement connects two assigned spins")
-    param = _Parameterization(labels, base, config.anchor)
-    signs = []
-    for a, b, f, alpha in terms:
-        czz, _ = _czz_and_grad(base[a], base[b], alpha)
-        signs.append(1.0 if czz >= 0 else -1.0)
+    param = _Parameterization(labels, base, config.anchor, terms)
+    czz, _ = _czz_with_gradient(base, terms)
+    signs = _signs(czz)
+    r_init = terms.f - 0.5 * np.abs(czz)
+    eps_init = _sum_in_order(r_init * r_init)
 
     x = np.zeros(param.n_params)
     total_sign_flips = 0
-    for sign_round in range(3):
+    for _ in range(3):
         x, info = _levenberg_marquardt(base, x, terms, signs, param)
-        pos = param.apply(base, x)
-        flips = 0
-        for k, (a, b, f, alpha) in enumerate(terms):
-            czz, _ = _czz_and_grad(pos[a], pos[b], alpha)
-            s = 1.0 if czz >= 0 else -1.0
-            if s != signs[k]:
-                signs[k] = s
-                flips += 1
+        czz, _ = _czz_with_gradient(param.apply(base, x), terms)
+        new_signs = _signs(czz)
+        flips = int(np.count_nonzero(new_signs != signs))
+        signs = new_signs
         total_sign_flips += flips
         if flips == 0:
             break
@@ -226,16 +280,17 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
         cond = float("inf")
     else:
         cond = float((sv[0] / sv[-1]) ** 2)  # of J^T J
-    eps_init, _ = residual_and_gradient(base, measurements, config.physics)
     eps_final = float(r @ r)
     if eps_final > eps_init + 1e-9 * max(1.0, eps_init):
         raise NonConvergenceError(
             "refined residual exceeds the initial residual",
             diagnostics={"initial_residual": eps_init, "final_residual": eps_final},
         )
-    report = displacement_report(base, pos)
+    order = [param.anchor] + [i for i in range(len(labels)) if i != param.anchor]
+    positions = {labels[i]: pos[i] for i in order}  # the anchor first
+    report = displacement_report(dict(zip(labels, base)), positions)
     return RefinementResult(
-        positions=pos,
+        positions=positions,
         residual=eps_final,
         displacements=report,
         n_iterations=info["iterations"],

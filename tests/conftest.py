@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from spinmap.errors import InputError
 from spinmap.hamiltonian import SpinSystemSpec
 from spinmap.lattice import LatticeParams, SiteTable, build_lattice, reference_site_si1
-from spinmap.spinphys import SI29, FieldConfig, HyperfineTensor, dipolar_alpha
+from spinmap.spinphys import SI29, FieldConfig, HyperfineTensor, dipolar_alpha, species_for_label
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +45,95 @@ def reference_sedor_between(table, i, j, physics):
     d = pos[j] - pos[i]
     r2 = float(d @ d)
     return 0.5 * abs(alpha / r2**1.5 * (3.0 * d[2] ** 2 / r2 - 1.0))
+
+
+def _reference_czz_and_grad(pa, pb, alpha):
+    """C_zz (Hz) of one pair and its gradient w.r.t. pb (w.r.t. pa it is the
+    negative), in scalar arithmetic."""
+    d = pb - pa
+    r2 = float(d @ d)
+    if r2 < 1e-18:
+        raise InputError("coincident spin positions")
+    r = math.sqrt(r2)
+    inv_r5 = 1.0 / r2**2.5
+    czz = alpha * (3.0 * d[2] ** 2 * inv_r5 - 1.0 / r**3)
+    grad = alpha * (
+        (3.0 * inv_r5 - 15.0 * d[2] ** 2 / r2**3.5) * d
+        + np.array([0.0, 0.0, 6.0 * d[2] * inv_r5])
+    )
+    return czz, grad
+
+
+def _reference_terms(positions, measurements, physics):
+    return [
+        (m.spin_a, m.spin_b, m.f_ij, dipolar_alpha(
+            species_for_label(m.spin_a, physics), species_for_label(m.spin_b, physics)
+        ))
+        for m in measurements
+        if m.spin_a in positions and m.spin_b in positions
+    ]
+
+
+def reference_residual_and_jacobian(base, x, measurements, signs, anchor, physics):
+    """Residual vector r and gauge-reduced Jacobian J of refinement at
+    parameters x from base positions (label -> (3,) array), one measured pair
+    at a time in scalar arithmetic: the values refine's array kernel must
+    match bit for bit.  signs: one +-1.0 per measurement between two labels
+    of base."""
+    labels = sorted(base)
+    p0 = base[anchor]
+    gauge, best_rho = None, 1e-9
+    for lab in labels:
+        rho = math.hypot(base[lab][0] - p0[0], base[lab][1] - p0[1])
+        if lab != anchor and rho > best_rho + 1e-12:
+            gauge, best_rho = lab, rho
+    blocks, offset = {}, 0
+    for lab in labels:
+        if lab == anchor:
+            continue
+        if lab == gauge:
+            dx, dy = base[lab][0] - p0[0], base[lab][1] - p0[1]
+            rho = math.hypot(dx, dy)
+            e_rho = np.array([dx / rho, dy / rho, 0.0])
+            basis = np.column_stack([e_rho, np.array([0.0, 0.0, 1.0])])
+        else:
+            basis = np.eye(3)
+        blocks[lab] = (offset, basis)
+        offset += basis.shape[1]
+    pos = {anchor: base[anchor].copy()}
+    for lab, (off, basis) in blocks.items():
+        pos[lab] = base[lab] + basis @ x[off:off + basis.shape[1]]
+
+    terms = _reference_terms(base, measurements, physics)
+    r = np.zeros(len(terms))
+    jac = np.zeros((len(terms), offset))
+    for k, ((a, b, f, alpha), s) in enumerate(zip(terms, signs)):
+        czz, dczz = _reference_czz_and_grad(pos[a], pos[b], alpha)
+        r[k] = f - 0.5 * s * czz
+        for lab, sign in ((b, 1.0), (a, -1.0)):
+            if lab == anchor:
+                continue
+            off, basis = blocks[lab]
+            jac[k, off:off + basis.shape[1]] += (-0.5 * s * sign) * (dczz @ basis)
+    return r, jac
+
+
+def reference_residual_and_gradient(positions, measurements, physics):
+    """epsilon and its gradient (label -> (3,) array) one measured pair at a
+    time in scalar arithmetic: the values refine.residual_and_gradient must
+    match bit for bit."""
+    pos = {lab: np.asarray(p, dtype=float) for lab, p in positions.items()}
+    grad = {lab: np.zeros(3) for lab in pos}
+    eps = 0.0
+    for a, b, f, alpha in _reference_terms(pos, measurements, physics):
+        czz, dczz = _reference_czz_and_grad(pos[a], pos[b], alpha)
+        r_k = f - 0.5 * abs(czz)
+        eps += r_k * r_k
+        s = 1.0 if czz >= 0 else -1.0
+        coeff = -r_k * s
+        grad[b] += coeff * dczz
+        grad[a] -= coeff * dczz
+    return eps, grad
 
 
 def strong_pair_spec(params, d=35e6, b_x=0.0, b_y=0.0):

@@ -171,6 +171,36 @@ class TestExitCodes:
         assert err["error"] == "input" and where in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["place", "refine"])
+    def test_non_finite_coupling_is_input_error(self, tmp_path, capsys, command):
+        sols = tmp_path / "solutions.json"
+        assert run(["place", "--couplings", FIXTURE, "--out", sols]) == 0
+        capsys.readouterr()
+        lines = FIXTURE.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[2] = "nan"  # f_hz
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        out = tmp_path / "out.json"
+        args = ["--solution", sols] if command == "refine" else []
+        assert run([command, *args, "--couplings", bad, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input" and "bad.csv:2" in err["message"]
+        assert not out.exists()
+
+    def test_non_finite_solution_position_is_input_error(self, tmp_path, capsys):
+        sols = tmp_path / "solutions.json"
+        assert run(["place", "--couplings", FIXTURE, "--out", sols]) == 0
+        capsys.readouterr()
+        data = json.loads(sols.read_text())
+        data["solutions"][0]["assignment"]["Si2"]["position"][0] = float("nan")
+        sols.write_text(json.dumps(data))
+        out = tmp_path / "refined.json"
+        assert run(["refine", "--solution", sols, "--couplings", FIXTURE, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input" and "'Si2'" in err["message"]
+        assert not out.exists()
+
     def test_refined_residual_above_initial_is_typed(self, tmp_path, capsys, monkeypatch):
         sols = tmp_path / "solutions.json"
         assert run(["place", "--couplings", FIXTURE, "--out", sols]) == 0

@@ -96,6 +96,13 @@ class TestCouplingMeasurement:
         with pytest.raises(InputError):
             CouplingMeasurement("Si1", "Si2", 5.0, 0.2, "ms_zero")
 
+    @pytest.mark.parametrize("f_ij, sigma", [
+        (float("nan"), 0.2), (float("inf"), 0.2), (5.0, float("nan")), (5.0, float("inf")),
+    ])
+    def test_non_finite_rejected(self, f_ij, sigma):
+        with pytest.raises(InputError, match="finite"):
+            CouplingMeasurement("Si1", "Si2", f_ij, sigma)
+
     def test_pair_is_sorted(self):
         assert CouplingMeasurement("Si9", "Si2", 5.0, 0.2).pair == ("Si2", "Si9")
 

@@ -1,15 +1,23 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_residual_and_gradient, reference_residual_and_jacobian
 from spinmap.errors import InputError
+from spinmap.lattice import reference_site_si1
 from spinmap.placement import CouplingMeasurement, PlacementConfig, place_all
 from spinmap.refine import (
     displacement_report,
     refine,
     residual_and_gradient,
 )
+from spinmap.spinphys import DEFAULT_PHYSICS, Physics
+
+R = importlib.import_module("spinmap.refine")  # the package exports the function refine by this name
 from spinmap.synth import (
     ClusterStructure,
     NoiseModel,
@@ -81,6 +89,131 @@ class TestResidualAndGradient:
         pos = {"Si1": np.zeros(3), "Si2": np.zeros(3)}
         with pytest.raises(InputError):
             residual_and_gradient(pos, [CouplingMeasurement("Si1", "Si2", 5.0, 0.2)])
+
+
+@pytest.fixture(scope="module")
+def kernel_sites(table26, params):
+    """Site indices around Si1 for drawn kernel cases: Si1 itself, sites on
+    its vertical axis, sites in its layer and all sites within 9 A."""
+    pos = table26.positions
+    si1 = int(np.argmin(np.linalg.norm(pos - reference_site_si1(params).position, axis=1)))
+    d = pos - pos[si1]
+    r = np.linalg.norm(d, axis=1)
+    near = (r > 0.5) & (r < 9.0)
+    on_axis = near & (np.hypot(d[:, 0], d[:, 1]) < 1e-9)
+    in_layer = near & (np.abs(d[:, 2]) < 1e-6)
+    return si1, *(np.flatnonzero(m).tolist() for m in (on_axis, in_layer, near))
+
+
+def kernel_inputs(base, measurements, physics, anchor="Si1"):
+    labels = sorted(base)
+    rows = R._position_rows(base, labels)
+    terms = R._pair_terms(labels, measurements, physics)
+    return labels, rows, terms, R._Parameterization(labels, rows, anchor, terms)
+
+
+class TestKernel:
+    """The array kernel against the scalar reference it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_scalar_reference(self, table26, kernel_sites, data):
+        si1, on_axis, in_layer, near = kernel_sites
+        physics = data.draw(st.sampled_from([DEFAULT_PHYSICS, Physics.from_gammas(-7.1e6, 11.3e6)]))
+        n_si, n_c = data.draw(st.integers(3, 6)), data.draw(st.integers(1, 3))
+        si2, idle = data.draw(st.lists(st.sampled_from(on_axis), min_size=2, max_size=2, unique=True))
+        si3 = data.draw(st.sampled_from(in_layer))
+        rest = data.draw(st.lists(st.sampled_from([i for i in near if i not in (si2, idle, si3)]),
+                                  min_size=n_si - 3 + n_c, max_size=n_si - 3 + n_c, unique=True))
+        # Si2 sits above Si1 (C_zz > 0) and Si3 beside it (C_zz < 0); the
+        # idle spin is in no measurement and, on the axis, never the gauge
+        ring = [f"Si{k}" for k in range(1, n_si + 1)] + [f"C{k}" for k in range(1, n_c + 1)]
+        sites = dict(zip(ring, [si1, si2, si3, *rest]))
+        sites[f"Si{n_si + 1}"] = idle
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shift, step = data.draw(st.sampled_from([0.0, 0.05, 0.2])), data.draw(st.sampled_from([0.0, 0.05, 0.2]))
+        base = {lab: table26.positions[i] + (rng.uniform(-shift, shift, 3) if shift else 0.0)
+                for lab, i in sites.items()}
+        # a ring puts every measured spin, the anchor and the gauge spin
+        # among them, on both sides of a pair; then Si3-Si1, chords, and a
+        # measurement of an unassigned label
+        pairs = list(zip(ring, ring[1:] + ring[:1])) + [("Si3", "Si1")]
+        pairs += data.draw(st.lists(st.tuples(st.sampled_from(ring), st.sampled_from(ring))
+                                    .filter(lambda p: p[0] != p[1]), max_size=6))
+        pairs.append(("Si2", "C9"))
+        meas = [CouplingMeasurement(a, b, float(rng.uniform(0.0, 200.0)), 0.2) for a, b in pairs]
+
+        labels, rows, terms, param = kernel_inputs(base, meas, physics)
+        signs = rng.choice([-1.0, 1.0], len(terms.f))
+        x = rng.uniform(-step, step, param.n_params) if step else np.zeros(param.n_params)
+        pos = param.apply(rows, x)
+        r, jac = R._residual_vector_and_jacobian(pos, terms, signs, param)
+        r0, jac0 = reference_residual_and_jacobian(base, x, meas, signs.tolist(), "Si1", physics)
+        assert r.tobytes() == r0.tobytes()
+        assert jac.shape == jac0.shape and jac.tobytes() == jac0.tobytes()
+        eps, grad = residual_and_gradient(dict(zip(labels, pos)), meas, physics)
+        eps0, grad0 = reference_residual_and_gradient(dict(zip(labels, pos)), meas, physics)
+        assert float(eps).hex() == float(eps0).hex()
+        assert all(grad[lab].tobytes() == grad0[lab].tobytes() for lab in labels)
+
+        czz, _ = R._czz_with_gradient(pos, terms)
+        assert (czz > 0).any() and (czz < 0).any()
+        assert {side for _, side in param.gauge_rows} == {1.0, -1.0}
+
+        base["Si3"] = base["Si2"].copy()  # Si2-Si3 is measured
+        _, rows, terms, param = kernel_inputs(base, meas, physics)
+        with pytest.raises(InputError, match="coincident"):
+            R._residual_vector_and_jacobian(param.apply(rows, np.zeros(param.n_params)), terms, signs, param)
+        with pytest.raises(InputError, match="coincident"):
+            reference_residual_and_jacobian(base, np.zeros(param.n_params), meas, signs.tolist(), "Si1", physics)
+
+    @pytest.mark.parametrize("z", [
+        [5.0265, 7.539, -2.5, 10.05],  # every spin on Si1's vertical axis: no gauge spin
+        [0.0, 2.7339560481105742, -3.764173524495381, 7.770498484676807],  # pow(z, 2) != z * z
+    ], ids=["no-gauge", "z-squared"])
+    def test_explicit_cases(self, z):
+        xy = [(0.0, 0.0)] * 4 if z[0] else [(0.0, 0.0), (1.5, 0.5), (-2.0, 1.0), (0.5, -2.5)]
+        base = {f"Si{k}": np.array([*p, zk]) for k, (p, zk) in enumerate(zip(xy, z), 1)}
+        pairs = [("Si1", "Si2"), ("Si3", "Si2"), ("Si4", "Si1"), ("Si3", "Si4")]
+        meas = [CouplingMeasurement(a, b, 40.0, 0.2) for a, b in pairs]
+        _, rows, terms, param = kernel_inputs(base, meas, DEFAULT_PHYSICS)
+        assert param.n_params == (9 if z[0] else 8)
+        x = np.random.default_rng(0).uniform(-0.2, 0.2, param.n_params) * (z[0] != 0.0)
+        signs = np.array([1.0, -1.0, 1.0, -1.0])
+        r, jac = R._residual_vector_and_jacobian(param.apply(rows, x), terms, signs, param)
+        r0, jac0 = reference_residual_and_jacobian(base, x, meas, signs.tolist(), "Si1", DEFAULT_PHYSICS)
+        assert r.tobytes() == r0.tobytes() and jac.tobytes() == jac0.tobytes()
+
+    def test_jacobian_matches_finite_differences(self, noisy_case):
+        cluster, meas = noisy_case
+        rng = np.random.default_rng(7)
+        for trial in range(3):
+            base = {lab: p + rng.normal(0, 0.1, 3) for lab, p in cluster.positions().items()}
+            labels, rows, terms, param = kernel_inputs(base, meas, DEFAULT_PHYSICS)
+            assert param.n_params == 3 * (len(labels) - 1) - 1  # no anchor columns, 2 gauge ones
+            signs = R._signs(R._czz_with_gradient(rows, terms)[0])
+            x = rng.normal(0, 0.05, param.n_params)
+            _, jac = R._residual_vector_and_jacobian(param.apply(rows, x), terms, signs, param)
+            h = 1e-5
+            for j in range(param.n_params):
+                e = np.zeros(param.n_params)
+                e[j] = h
+                plus, minus = param.apply(rows, x + e), param.apply(rows, x - e)
+                moved = np.flatnonzero((plus != minus).any(axis=1))
+                assert len(moved) == 1 and moved[0] != param.anchor
+                if moved[0] == param.gauge:  # radial in the anchor's plane, or vertical
+                    shift = plus[param.gauge] - minus[param.gauge]
+                    radial = rows[param.gauge, :2] - rows[param.anchor, :2]
+                    if j == param.gauge_column:
+                        assert shift[2] == 0.0
+                        assert abs(shift[0] * radial[1] - shift[1] * radial[0]) < 1e-12
+                    else:
+                        assert j == param.gauge_column + 1 and not shift[:2].any()
+                num = (
+                    R._residual_vector_and_jacobian(plus, terms, signs, param)[0]
+                    - R._residual_vector_and_jacobian(minus, terms, signs, param)[0]
+                ) / (2 * h)
+                assert np.abs(jac[:, j] - num).max() <= 1e-6 * max(1.0, np.abs(num).max())
 
 
 class TestRefine:
@@ -158,6 +291,17 @@ class TestRefine:
             rms[sigma] = math.sqrt(np.mean(np.square(acc)))
         ratio = rms[0.2] / rms[0.1]
         assert 1.4 <= ratio <= 2.8
+
+    @pytest.mark.parametrize("bad", [
+        [float("nan"), 0.0, 6.0], [0.0, float("inf"), 6.0], [0.0, 1.774], "far",
+    ])
+    def test_bad_initial_position_rejected(self, bad):
+        pos = {"Si1": np.array([0.0, 0.0, 5.0265]), "Si2": np.array([0.0, 1.774, 7.539]),
+               "Si3": bad}
+        meas = [CouplingMeasurement("Si1", "Si2", 80.0, 0.2),
+                CouplingMeasurement("Si2", "Si3", 30.0, 0.2)]
+        with pytest.raises(InputError, match="'Si3'"):
+            refine(pos, meas)
 
     def test_requires_anchor_present(self):
         pos = {"Si2": np.zeros(3), "Si3": np.array([0.0, 0.0, 4.0])}
