@@ -1,5 +1,6 @@
-"""File formats: coupling tables, lattice exports, solution files, traces,
-graphs, run manifests, and the flat key=value config format.
+"""File formats: coupling tables, lattice exports, truth clusters, solution
+files, calibration inputs, traces, graphs, run manifests, and the flat
+key=value config format.
 
 All writers are deterministic (sorted keys, fixed float formatting, no
 timestamps) so identical inputs give byte-identical outputs.
@@ -16,7 +17,8 @@ import numpy as np
 from .errors import InputError
 from .lattice import Lattice, LatticeSite
 from .placement import CouplingMeasurement
-from .spinphys import DEFAULT_PHYSICS
+from .spinphys import DEFAULT_PHYSICS, FieldConfig, HyperfineTensor
+from .synth import NoiseModel, SyntheticCluster
 from .telegraph import TimeTrace
 
 COUPLING_COLUMNS = ["spin_a", "spin_b", "f_hz", "sigma_hz", "subspace_mode"]
@@ -73,17 +75,21 @@ def read_json(path):
 
 
 def read_couplings_json(path):
+    """The measurements of a JSON coupling table; InputError names the file,
+    and the row (couplings[i]) where a measurement is invalid."""
     data = read_json(path)
+    out = []
     try:
-        return [
-            CouplingMeasurement(
+        for i, r in enumerate(data["couplings"]):
+            out.append(CouplingMeasurement(
                 r["spin_a"], r["spin_b"], float(r["f_hz"]), float(r["sigma_hz"]),
                 r.get("subspace_mode", "averaged"),
-            )
-            for r in data["couplings"]
-        ]
+            ))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed coupling table: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: couplings[{i}]: {exc}") from exc
+    return out
 
 
 def read_couplings(path):
@@ -130,6 +136,38 @@ def site_to_dict(site: LatticeSite):
 
 
 # ---------------------------------------------------------------------------
+# truth clusters
+
+
+def write_truth_json(path, cluster, cluster_of=True):
+    """A ground-truth cluster: its seed, label -> site and (if cluster_of)
+    label -> cluster id."""
+    payload = {
+        "seed": list(cluster.seed),
+        "truth": {lab: site_to_dict(site) for lab, site in sorted(cluster.truth.items())},
+    }
+    if cluster_of:
+        payload["cluster_of"] = dict(sorted(cluster.cluster_of.items()))
+    write_json(path, payload)
+
+
+def read_truth_json(path, table):
+    """The SyntheticCluster of a truth file, its sites looked up in table."""
+    data = read_json(path)
+    truth = {}
+    try:
+        for lab, entry in data["truth"].items():
+            idx = table.index_of_position(np.array(entry["position"], dtype=float))
+            if idx is None:
+                raise InputError(f"{path}: site for {lab} not on the configured lattice")
+            truth[lab] = table.site(idx)
+        seed = tuple(data.get("seed", (0,)))
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed truth file: {exc}") from exc
+    return SyntheticCluster(truth, NoiseModel(), seed)
+
+
+# ---------------------------------------------------------------------------
 # solutions
 
 
@@ -172,6 +210,35 @@ def read_solution_positions(path, index: int = 0):
         }
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed solutions file: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# calibration inputs
+
+
+def read_frequency_json(path):
+    """(field, {label: (f_plus, f_minus, subspaces)}) of a `calibrate --freqs` file."""
+    data = read_json(path)
+    try:
+        field = FieldConfig(float(data["field_gauss"]))
+        spins = {}
+        for lab, row in data["spins"].items():
+            spins[lab] = (
+                float(row["f_plus"]),
+                float(row["f_minus"]),
+                tuple(row.get("subspaces", (1.5, -1.5))),
+            )
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed frequency file: {exc}") from exc
+    return field, spins
+
+
+def read_dft_csv(path):
+    """label -> HyperfineTensor of a `calibrate --dft` CSV (label,A_zz_Hz,A_perp_Hz)."""
+    rows = read_csv_rows(path, ["label", "A_zz_Hz", "A_perp_Hz"], lambda row: (
+        row["label"], HyperfineTensor(float(row["A_zz_Hz"]), float(row["A_perp_Hz"]), 0.0)
+    ))
+    return dict(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +290,10 @@ def graph_to_dot(graph):
         lines.append(f'  "{e["a"]}" -- "{e["b"]}" [label="{e["f_hz"]:.2f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def write_graph_dot(path, graph):
+    Path(path).write_text(graph_to_dot(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ SPREAD_MIN_DEGREE = 4  # couplings each kept spin needs ...
 SPREAD_MIN_DETECTABLE = 3.0  # ... at or above this (Hz)
 SPREAD_MIN_CORE = 10  # spins the prune must leave
 
+SEED_R_MIN, SEED_R_MAX = 4.0, 11.0  # A: radii of the shell cluster seeds are drawn from
+SEED_MIN_SEPARATION = 6.5  # A between any two seeds ...
+SEED_MAX_LINK = 8.5  # ... and at most this from the nearest earlier seed
+SEED_ATTEMPTS = 400  # seed draws before giving up
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -105,24 +110,23 @@ class SyntheticCluster:
         return {lab: site.position for lab, site in self.truth.items()}
 
 
-def _pick_cluster_seeds(table, rng, anchor_idx, n_clusters, r_min=4.0, r_max=11.0,
-                        min_sep=6.5, max_link=8.5, attempts=400):
+def _pick_cluster_seeds(table, rng, anchor_idx, n_clusters):
     """Deterministically sample cluster seed sites around the anchor.
 
-    Seeds are mutually separated by at least min_sep and each new seed lies
-    within max_link of an existing one so inter-cluster couplings stay
-    measurable.
+    Seeds are mutually separated by at least SEED_MIN_SEPARATION and each new
+    seed lies within SEED_MAX_LINK of an existing one so inter-cluster
+    couplings stay measurable.
     """
     pos = table.positions
     r = np.linalg.norm(pos, axis=1)
-    pool = np.flatnonzero((r >= r_min) & (r <= r_max))
+    pool = np.flatnonzero((r >= SEED_R_MIN) & (r <= SEED_R_MAX))
     seeds = [anchor_idx]
-    for _ in range(attempts):
+    for _ in range(SEED_ATTEMPTS):
         if len(seeds) == n_clusters:
             break
         cand = int(rng.choice(pool))
         d = np.linalg.norm(pos[seeds] - pos[cand], axis=1)
-        if d.min() >= min_sep and d.min() <= max_link:
+        if d.min() >= SEED_MIN_SEPARATION and d.min() <= SEED_MAX_LINK:
             seeds.append(cand)
     if len(seeds) < n_clusters:
         raise InputError(

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 import spinmap
 from spinmap import cli, fileio
 from spinmap.cli import DEFAULT_LATTICE_RADIUS, build_parser, main
-from spinmap.errors import InversionError, NonConvergenceError
+from spinmap.errors import InputError, InversionError, NonConvergenceError
 from spinmap.placement import minimum_search_radius
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -342,32 +343,39 @@ class TestDdrfCalc:
         assert set(data) >= {"phase_update_rad", "effective_rabi_hz", "rotation_angle_rad"}
 
 
+def _calibration_inputs(d):
+    """freqs.json and dft.csv in d for two spins whose true field is 1.47 and
+    1.59 G below the nominal 1960.9 G."""
+    from spinmap.spinphys import SI29, FieldConfig, HyperfineTensor, nuclear_transition_frequency
+
+    def pair(azz, aperp, b_true):
+        f = FieldConfig(b_true)
+        hf = HyperfineTensor.from_perp(azz, aperp)
+        return (
+            nuclear_transition_frequency(f, SI29, hf, 1.5),
+            nuclear_transition_frequency(f, SI29, hf, -1.5),
+        )
+
+    fp5, fm5 = pair(-150e3, 700.0, 1960.9 - 1.47)
+    fp14, fm14 = pair(210e3, 400.0, 1960.9 - 1.59)
+    freqs = d / "freqs.json"
+    freqs.write_text(json.dumps({
+        "field_gauss": 1960.9,
+        "spins": {
+            "Si5": {"f_plus": fp5, "f_minus": fm5},
+            "Si14": {"f_plus": fp14, "f_minus": fm14},
+        },
+    }))
+    dft = d / "dft.csv"
+    dft.write_text(
+        "label,A_zz_Hz,A_perp_Hz\nSi5,-150000.0,700.0\nSi14,210000.0,400.0\n"
+    )
+    return freqs, dft
+
+
 class TestCalibrateCommand:
     def test_full_calibration_run(self, tmp_path):
-        from spinmap.spinphys import SI29, FieldConfig, HyperfineTensor, nuclear_transition_frequency
-
-        def pair(azz, aperp, b_true):
-            f = FieldConfig(b_true)
-            hf = HyperfineTensor.from_perp(azz, aperp)
-            return (
-                nuclear_transition_frequency(f, SI29, hf, 1.5),
-                nuclear_transition_frequency(f, SI29, hf, -1.5),
-            )
-
-        fp5, fm5 = pair(-150e3, 700.0, 1960.9 - 1.47)
-        fp14, fm14 = pair(210e3, 400.0, 1960.9 - 1.59)
-        freqs = tmp_path / "freqs.json"
-        freqs.write_text(json.dumps({
-            "field_gauss": 1960.9,
-            "spins": {
-                "Si5": {"f_plus": fp5, "f_minus": fm5},
-                "Si14": {"f_plus": fp14, "f_minus": fm14},
-            },
-        }))
-        dft = tmp_path / "dft.csv"
-        dft.write_text(
-            "label,A_zz_Hz,A_perp_Hz\nSi5,-150000.0,700.0\nSi14,210000.0,400.0\n"
-        )
+        freqs, dft = _calibration_inputs(tmp_path)
         out = tmp_path / "calib.json"
         assert run(["calibrate", "--freqs", freqs, "--dft", dft, "--out", out]) == 0
         data = json.loads(out.read_text())
@@ -395,6 +403,14 @@ class TestConstantsAndConfig:
         ) == 0
         manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
         assert manifest["config"]["tolerance"] == 0.6
+
+    def test_config_section_of_nested_subcommand(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("[synth-telegraph]\nduration = 20.0\nseed = 7\n")
+        out = tmp_path / "trace.csv"
+        assert run(["--config", cfg, "synth", "telegraph", "--seed", "3", "--out", out]) == 0
+        config = json.loads((tmp_path / "trace.csv.manifest.json").read_text())["config"]
+        assert (config["duration"], config["seed"]) == (20.0, 3)
 
     def test_unknown_config_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -442,9 +458,299 @@ class TestConstantsAndConfig:
     def test_default_lattice_radius_covers_reach(self):
         # the help text's claim: 3 Hz reach at 11 A cluster extent
         assert DEFAULT_LATTICE_RADIUS >= minimum_search_radius(3.0, cluster_extent=11.0)
-        subparsers = build_parser()._spinmap_subparsers
+        subparsers = cli.COMMANDS
         for name in ("place", "synth-cluster", "synth-couplings", "reproduce"):
             assert subparsers[name].get_default("lattice_radius") == DEFAULT_LATTICE_RADIUS
+
+
+def _nan_coupling_json(path):
+    rows = [
+        {"spin_a": m.spin_a, "spin_b": m.spin_b, "f_hz": m.f_ij, "sigma_hz": m.sigma,
+         "subspace_mode": m.subspace_mode}
+        for m in fileio.read_couplings(FIXTURE)
+    ]
+    rows[2]["f_hz"] = float("nan")  # json writes NaN
+    path.write_text(json.dumps({"couplings": rows}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["place", "refine"])
+def test_non_finite_json_coupling_names_file_and_row(tmp_path, capsys, command):
+    sols = tmp_path / "solutions.json"
+    assert run(["place", "--couplings", FIXTURE, "--out", sols]) == 0
+    capsys.readouterr()
+    bad = _nan_coupling_json(tmp_path / "nan.json")
+    out = tmp_path / "out.json"
+    args = ["--solution", sols] if command == "refine" else []
+    assert run([command, *args, "--couplings", bad, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert err["message"].startswith(f"{bad}: couplings[2]: ")
+    assert "must be finite" in err["message"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """One input file of each kind a subcommand reads."""
+    d = tmp_path_factory.mktemp("inputs")
+    assert run(["place", "--couplings", FIXTURE, "--out", d / "solutions.json"]) == 0
+    assert run(["synth", "telegraph", "--out", d / "trace.csv"]) == 0
+    _calibration_inputs(d)
+    return {"COUPLINGS": FIXTURE, "SOLUTION": d / "solutions.json", "TRACE": d / "trace.csv",
+            "FREQS": d / "freqs.json", "DFT": d / "dft.csv", "TRUTH": DATA / "truth_fixture.json"}
+
+
+# every file-producing subcommand: (manifest command, argv); upper-case words
+# are the input files of cli_inputs, and OUT and DOT the outputs
+FILE_COMMANDS = [
+    ("lattice", ["lattice", "--radius", "5", "--out", "OUT"]),
+    ("place", ["place", "--couplings", "COUPLINGS", "--out", "OUT"]),
+    ("refine", ["refine", "--solution", "SOLUTION", "--couplings", "COUPLINGS", "--out", "OUT"]),
+    ("calibrate", ["calibrate", "--freqs", "FREQS", "--dft", "DFT", "--out", "OUT"]),
+    ("telegraph", ["telegraph", "--trace", "TRACE", "--out", "OUT"]),
+    ("synth-cluster", ["synth", "cluster", "--seed", "2", "--out", "OUT"]),
+    ("synth-couplings", ["synth", "couplings", "--truth", "TRUTH", "--out", "OUT"]),
+    ("synth-telegraph", ["synth", "telegraph", "--duration", "20", "--out", "OUT"]),
+    ("export-graph", ["export-graph", "--couplings", "COUPLINGS", "--solution", "SOLUTION",
+                      "--dot", "DOT", "--out", "OUT"]),
+]
+
+INPUT_FILES = ("COUPLINGS", "SOLUTION", "TRACE", "FREQS", "DFT", "TRUTH")
+WITH_INPUTS = [c for c in FILE_COMMANDS if set(c[1]) & set(INPUT_FILES)]
+
+
+def _resolve(argv, inputs, tmp_path):
+    files = dict(inputs, OUT=tmp_path / "out", DOT=tmp_path / "out.dot")
+    return [str(files.get(a, a)) for a in argv], [str(inputs[a]) for a in argv if a in inputs]
+
+
+class TestManifests:
+    @pytest.mark.parametrize("name, argv", FILE_COMMANDS, ids=[c[0] for c in FILE_COMMANDS])
+    def test_same_keys_for_every_command(self, tmp_path, cli_inputs, name, argv):
+        argv, inputs = _resolve(argv, cli_inputs, tmp_path)
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        expected = vars(build_parser().parse_args(argv))
+        assert expected.pop("func") is cli.COMMANDS[name]
+        assert manifest["command"] == name
+        assert manifest["config"] == expected
+        assert manifest["inputs"] == {p: fileio.sha256_file(p) for p in inputs}
+        outputs = [str(tmp_path / "out")] + [a for a in argv if a.endswith("out.dot")]
+        assert manifest["outputs"] == {p: fileio.sha256_file(p) for p in outputs}
+
+    @pytest.mark.parametrize("name, argv", FILE_COMMANDS, ids=[c[0] for c in FILE_COMMANDS])
+    def test_failing_command_writes_no_manifest(self, tmp_path, cli_inputs, monkeypatch,
+                                                name, argv):
+        def write_then_fail(args, physics):
+            fileio.write_json(args.out, {})
+            raise InputError("failed after writing its output")
+
+        failing = dataclasses.replace(cli.COMMANDS[name], run=write_then_fail)
+        monkeypatch.setitem(cli.COMMANDS, name, failing)
+        argv, _ = _resolve(argv, cli_inputs, tmp_path)
+        assert main(argv) == 1
+        assert (tmp_path / "out").exists()
+        assert not (tmp_path / "out.manifest.json").exists()
+
+    @pytest.mark.parametrize("name, argv", WITH_INPUTS, ids=[c[0] for c in WITH_INPUTS])
+    def test_missing_input_writes_nothing(self, tmp_path, cli_inputs, capsys, name, argv):
+        argv, inputs = _resolve(argv, cli_inputs, tmp_path)
+        missing = str(tmp_path / "missing.file")
+        argv = [missing if a == inputs[-1] else a for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: input file not found: {missing}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_graph_hashes_solution(self, tmp_path, cli_inputs):
+        out = tmp_path / "g.json"
+        sols = cli_inputs["SOLUTION"]
+        assert run(["export-graph", "--couplings", FIXTURE, "--solution", sols, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(FIXTURE): fileio.sha256_file(FIXTURE), str(sols): fileio.sha256_file(sols),
+        }
+        assert list(manifest["outputs"]) == [str(out)]
+
+    def test_lattice_config_has_no_func(self, tmp_path):
+        assert run(["lattice", "--radius", "5", "--out", tmp_path / "lat.csv"]) == 0
+        manifest = json.loads((tmp_path / "lat.csv.manifest.json").read_text())
+        assert "func" not in manifest["config"]
+        assert manifest["inputs"] == {}
+
+
+# vars(parse_args(argv)) of each subcommand, recorded before the subcommands were
+# declared as one table each; every entry also has config, gamma_c13 and gamma_si29,
+# all None.  (name: (argv, function run, the other values))
+PARSER_SNAPSHOT = {
+    "constants": (
+        ["constants"],
+        "cmd_constants",
+        {"command": "constants"},
+    ),
+    "lattice": (
+        ["lattice", "--radius", "5"],
+        "cmd_lattice",
+        {"a": 3.073,
+         "c": 10.053,
+         "command": "lattice",
+         "format": "csv",
+         "k_variant": 0,
+         "out": "lattice.csv",
+         "radius": 5.0,
+         "stacking": "ABCB"},
+    ),
+    "place": (
+        ["place", "--couplings", "c.csv"],
+        "cmd_place",
+        {"a": 3.073,
+         "anchor": "Si1",
+         "c": 10.053,
+         "command": "place",
+         "couplings": "c.csv",
+         "k_variant": 0,
+         "lattice_radius": 28.5,
+         "max_branches": 1000000,
+         "min_detectable": 3.0,
+         "out": "solutions.json",
+         "override": None,
+         "relative_tolerance": 0.05,
+         "stacking": "ABCB",
+         "strong_threshold": 35.0,
+         "tolerance": 0.6},
+    ),
+    "refine": (
+        ["refine", "--solution", "s.json", "--couplings", "c.csv"],
+        "cmd_refine",
+        {"anchor": "Si1",
+         "command": "refine",
+         "couplings": "c.csv",
+         "index": 0,
+         "out": "refined.json",
+         "solution": "s.json"},
+    ),
+    "calibrate": (
+        ["calibrate", "--freqs", "f.json", "--dft", "d.csv"],
+        "cmd_calibrate",
+        {"command": "calibrate",
+         "delta_b_unc": 0.6,
+         "dft": "d.csv",
+         "freqs": "f.json",
+         "g_baseline": -2.0028,
+         "grid_span": 5.0,
+         "grid_step": 0.01,
+         "out": "calibration.json"},
+    ),
+    "telegraph": (
+        ["telegraph", "--trace", "t.csv"],
+        "cmd_telegraph",
+        {"command": "telegraph",
+         "method": "mle",
+         "out": "telegraph.json",
+         "threshold": 1295.0,
+         "trace": "t.csv",
+         "window": 5},
+    ),
+    "ddrf-calc": (
+        ["ddrf-calc", "--omega0", "1", "--omega1", "2", "--omega-rf", "3", "--tau", "4"],
+        "cmd_ddrf_calc",
+        {"command": "ddrf-calc",
+         "json": False,
+         "omega0": 1.0,
+         "omega1": 2.0,
+         "omega_rf": 3.0,
+         "pulses": 16,
+         "rabi": 1000.0,
+         "tau": 4.0},
+    ),
+    "synth-cluster": (
+        ["synth", "cluster"],
+        "cmd_synth_cluster",
+        {"a": 3.073,
+         "c": 10.053,
+         "clusters": 4,
+         "command": "synth",
+         "k_variant": 0,
+         "lattice_radius": 28.5,
+         "min_detectable": 3.0,
+         "n_c": 3,
+         "n_si": 22,
+         "noise": "gaussian",
+         "out": "truth.json",
+         "seed": 0,
+         "sigma": 0.2,
+         "size_max": 7,
+         "size_min": 5,
+         "stacking": "ABCB",
+         "synth_command": "cluster"},
+    ),
+    "synth-couplings": (
+        ["synth", "couplings", "--truth", "t.json"],
+        "cmd_synth_couplings",
+        {"a": 3.073,
+         "c": 10.053,
+         "command": "synth",
+         "k_variant": 0,
+         "lattice_radius": 28.5,
+         "min_detectable": 3.0,
+         "noise": "gaussian",
+         "out": "couplings.csv",
+         "seed": 0,
+         "sigma": 0.2,
+         "stacking": "ABCB",
+         "synth_command": "couplings",
+         "truth": "t.json"},
+    ),
+    "synth-telegraph": (
+        ["synth", "telegraph"],
+        "cmd_synth_telegraph",
+        {"bright_cps": 3000.0,
+         "command": "synth",
+         "dark_cps": 600.0,
+         "dt": 0.005,
+         "duration": 200.0,
+         "no_shot_noise": False,
+         "out": "trace.csv",
+         "rates": "0.18,0.85",
+         "seed": 0,
+         "synth_command": "telegraph"},
+    ),
+    "export-graph": (
+        ["export-graph", "--couplings", "c.csv"],
+        "cmd_export_graph",
+        {"command": "export-graph",
+         "couplings": "c.csv",
+         "cutoff": 1.0,
+         "dot": None,
+         "out": "graph.json",
+         "solution": None},
+    ),
+    "reproduce": (
+        ["reproduce"],
+        "cmd_reproduce",
+        {"a": 3.073,
+         "c": 10.053,
+         "command": "reproduce",
+         "k_variant": 0,
+         "lattice_radius": 28.5,
+         "seed": 1,
+         "stacking": "ABCB",
+         "workdir": "reproduce_out"},
+    ),
+
+}
+
+
+@pytest.mark.parametrize("name", PARSER_SNAPSHOT)
+def test_parser_snapshot(name):
+    argv, func, values = PARSER_SNAPSHOT[name]
+    args = vars(build_parser().parse_args(argv))
+    assert args.pop("func").run.__name__ == func
+    assert args == dict(values, config=None, gamma_c13=None, gamma_si29=None)
+
+
+def test_parser_snapshot_covers_every_command():
+    assert list(PARSER_SNAPSHOT) == list(cli.COMMANDS)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinmap
 from spinmap import fileio
 from spinmap.errors import InputError
 from spinmap.lattice import LatticeParams, build_lattice
@@ -38,6 +41,14 @@ class TestCouplingsIO:
         p = tmp_path / "c.json"
         p.write_text('{"couplings": [{"spin_a": "Si1", "spin_b": "Si2", "f_hz": 5.0}]}')
         with pytest.raises(InputError):
+            fileio.read_couplings(p)
+
+    def test_json_invalid_row_named(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"couplings": [{"spin_a": "Si1", "spin_b": "Si2", "f_hz": 5.0, '
+                     '"sigma_hz": 0.2}, {"spin_a": "Si1", "spin_b": "Si3", "f_hz": Infinity, '
+                     '"sigma_hz": 0.2}]}')
+        with pytest.raises(InputError, match=r"c\.json: couplings\[1\]: f_ij and sigma"):
             fileio.read_couplings(p)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -184,3 +195,21 @@ class TestSolutionsIO:
         p.write_bytes(content)
         with pytest.raises(InputError, match="sol.json"):
             fileio.read_solution_positions(p)
+
+
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_fileio_touches_files():
+    # every file format lives in fileio: no other module opens, reads or writes a file
+    for path in sorted(Path(spinmap.__file__).parent.glob("*.py")):
+        if path.name == "fileio.py":
+            continue
+        calls = [
+            (n.lineno, name)
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call)
+            for name in [getattr(n.func, "id", None) or getattr(n.func, "attr", None)]
+            if name in FILE_CALLS
+        ]
+        assert not calls, f"{path.name}: file access at {calls}"
