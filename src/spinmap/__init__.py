@@ -57,7 +57,6 @@ from .sequences import (
 from .spinphys import (
     C13,
     SI29,
-    DipolarTensor,
     FieldConfig,
     HyperfineTensor,
     Physics,

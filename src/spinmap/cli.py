@@ -206,21 +206,7 @@ def cmd_refine(args, physics):
     measurements = fileio.read_couplings(args.couplings)
     config = RefinementConfig(anchor=args.anchor, physics=physics)
     result = refine(positions, measurements, config)
-    payload = {
-        "positions": {lab: [float(v) for v in p] for lab, p in sorted(result.positions.items())},
-        "residual_hz2": result.residual,
-        "displacements": {
-            lab: list(row) for lab, row in sorted(result.displacements.rows.items())
-        },
-        "displacement_mean_A": result.displacements.mean,
-        "displacement_max_A": result.displacements.max,
-        "displacement_argmax": result.displacements.argmax,
-        "hessian_condition": result.hessian_condition,
-        "underdetermined": result.underdetermined,
-        "iterations": result.n_iterations,
-        "converged_by": result.converged_by,
-    }
-    fileio.write_json(args.out, payload)
+    fileio.write_refined_json(args.out, result)
     print(
         f"residual {result.residual:.6g} Hz^2, mean shift "
         f"{result.displacements.mean:.3f} A -> {args.out}"
@@ -250,14 +236,7 @@ def cmd_calibrate(args, physics):
             fp, fm, dft[lab], field, species_for_label(lab, physics), grid, subs
         )
     result = calibrate_from_scans(scans, args.delta_b_unc, field)
-    payload = {
-        "delta_b_gauss": result.delta_b,
-        "delta_b_uncertainty_gauss": result.delta_b_uncertainty,
-        "g_factor": result.g_factor,
-        "g_uncertainty": result.g_uncertainty,
-        "per_spin_delta_b": result.per_spin,
-    }
-    fileio.write_json(args.out, payload)
+    fileio.write_calibration_json(args.out, result)
     print(f"g = {result.g_factor:.4f} +- {result.g_uncertainty:.4f} -> {args.out}")
 
 
@@ -271,17 +250,7 @@ def cmd_calibrate(args, physics):
 def cmd_telegraph(args, physics):
     trace = fileio.read_trace_csv(args.trace)
     result = analyze_trace(trace, args.window, args.threshold, args.method)
-    payload = {
-        "rate_bright_to_dark_hz": result.rate_bright_to_dark.rate,
-        "rate_bright_to_dark_err": result.rate_bright_to_dark.stderr,
-        "rate_dark_to_bright_hz": result.rate_dark_to_bright.rate,
-        "rate_dark_to_bright_err": result.rate_dark_to_bright.stderr,
-        "n_bright_dwells": int(result.bright_dwells.size),
-        "n_dark_dwells": int(result.dark_dwells.size),
-        "threshold_cps": result.threshold,
-        "window_bins": result.smoothing_window,
-    }
-    fileio.write_json(args.out, payload)
+    fileio.write_telegraph_json(args.out, result)
     print(
         f"bright->dark {result.rate_bright_to_dark.rate:.3f} Hz, dark->bright "
         f"{result.rate_dark_to_bright.rate:.3f} Hz -> {args.out}"
@@ -386,10 +355,7 @@ def cmd_synth_telegraph(args, physics):
 def cmd_export_graph(args, physics):
     measurements = fileio.read_couplings(args.couplings)
     positions = fileio.read_solution_positions(args.solution) if args.solution else None
-    graph = fileio.coupling_graph(measurements, positions, args.cutoff)
-    fileio.write_json(args.out, graph)
-    if args.dot:
-        fileio.write_graph_dot(args.dot, graph)
+    graph = fileio.write_graph(args.out, measurements, positions, args.cutoff, args.dot)
     print(f"{len(graph['nodes'])} nodes, {len(graph['edges'])} edges -> {args.out}")
 
 
@@ -434,40 +400,20 @@ def cmd_reproduce(args, physics):
 
     result = refine(solutions[0], measurements, RefinementConfig(physics=physics))
     refined_path = workdir / "refined.json"
-    fileio.write_json(
-        refined_path,
-        {
-            "positions": {lab: [float(v) for v in p] for lab, p in sorted(result.positions.items())},
-            "residual_hz2": result.residual,
-            "displacement_mean_A": result.displacements.mean,
-            "displacement_max_A": result.displacements.max,
-        },
-    )
-    report = {
-        "recovered_truth": recovered,
-        "unique": len(classes) == 1,
-        "n_solutions": len(solutions),
-        "n_symmetry_classes": len(classes),
-        "n_measurements": len(measurements),
-        "branch_history": list(solutions[0].branch_history),
-        "placement_residual_hz2": solutions[0].residual,
-        "refined_residual_hz2": result.residual,
-        "displacement_mean_A": result.displacements.mean,
-        "displacement_max_A": result.displacements.max,
-    }
+    fileio.write_refined_json(refined_path, result, short=True)
     report_path = workdir / "report.json"
-    fileio.write_json(report_path, report)
+    fileio.write_report_json(
+        report_path, solutions, result, len(measurements), recovered, len(classes)
+    )
     # manifest is workdir-relative so identical runs compare byte-equal
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "workdir")}
     outputs = [truth_path, couplings_path, solutions_path, refined_path, report_path]
     manifest = fileio.build_manifest("reproduce", cfg, [], outputs, physics)
     manifest["outputs"] = {Path(p).name: h for p, h in manifest["outputs"].items()}
     fileio.write_json(workdir / "manifest.json", manifest)
-    print(
-        f"recovered={recovered} unique={report['unique']} "
-        f"solutions={len(solutions)} -> {workdir}"
-    )
-    if not (recovered and report["unique"]):
+    unique = len(classes) == 1
+    print(f"recovered={recovered} unique={unique} solutions={len(solutions)} -> {workdir}")
+    if not (recovered and unique):
         raise RecoveryError("reproduce pipeline did not uniquely recover the ground truth")
 
 

@@ -15,7 +15,6 @@ import math
 # CODATA 2018
 MU0 = 1.25663706212e-6          # vacuum permeability, T^2 m^3 / J
 H_PLANCK = 6.62607015e-34       # Planck constant, J s (exact)
-HBAR = H_PLANCK / (2.0 * math.pi)
 MU_BOHR = 9.2740100783e-24      # Bohr magneton, J/T
 
 GAUSS_TO_TESLA = 1e-4

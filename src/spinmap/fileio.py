@@ -1,6 +1,7 @@
 """File formats: coupling tables, lattice exports, truth clusters, solution
-files, calibration inputs, traces, graphs, run manifests, and the flat
-key=value config format.
+files, refinement results and reports, calibration inputs and results,
+traces and telegraph rates, graphs, run manifests, and the flat key=value
+config format.
 
 All writers are deterministic (sorted keys, fixed float formatting, no
 timestamps) so identical inputs give byte-identical outputs.
@@ -9,6 +10,7 @@ timestamps) so identical inputs give byte-identical outputs.
 import csv
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -168,7 +170,7 @@ def read_truth_json(path, table):
 
 
 # ---------------------------------------------------------------------------
-# solutions
+# solutions, refinement results and the reproduce report
 
 
 def write_solutions_json(path, solutions, ambiguous=None, meta=None):
@@ -212,8 +214,50 @@ def read_solution_positions(path, index: int = 0):
         raise InputError(f"{path}: malformed solutions file: {exc}") from exc
 
 
+def write_refined_json(path, result, short=False):
+    """A RefinementResult; short (reproduce's refined.json) writes only the
+    positions, residual and displacement summary.  A non-finite Hessian
+    condition number (an underdetermined fit) is written as null."""
+    d = result.displacements
+    payload = {
+        "positions": {lab: [float(v) for v in p] for lab, p in sorted(result.positions.items())},
+        "residual_hz2": result.residual,
+        "displacement_mean_A": d.mean,
+        "displacement_max_A": d.max,
+    }
+    if not short:
+        cond = result.hessian_condition
+        payload.update({
+            "displacements": {lab: list(row) for lab, row in sorted(d.rows.items())},
+            "displacement_argmax": d.argmax,
+            "hessian_condition": cond if math.isfinite(cond) else None,
+            "underdetermined": result.underdetermined,
+            "iterations": result.n_iterations,
+            "converged_by": result.converged_by,
+        })
+    write_json(path, payload)
+
+
+def write_report_json(path, solutions, refined, n_measurements, recovered, n_classes):
+    """reproduce's report: truth recovery among n_classes symmetry classes,
+    and the placement and refinement residuals of the best solution."""
+    best = solutions[0]
+    write_json(path, {
+        "recovered_truth": recovered,
+        "unique": n_classes == 1,
+        "n_solutions": len(solutions),
+        "n_symmetry_classes": n_classes,
+        "n_measurements": n_measurements,
+        "branch_history": list(best.branch_history),
+        "placement_residual_hz2": best.residual,
+        "refined_residual_hz2": refined.residual,
+        "displacement_mean_A": refined.displacements.mean,
+        "displacement_max_A": refined.displacements.max,
+    })
+
+
 # ---------------------------------------------------------------------------
-# calibration inputs
+# calibration inputs and results
 
 
 def read_frequency_json(path):
@@ -241,8 +285,19 @@ def read_dft_csv(path):
     return dict(rows)
 
 
+def write_calibration_json(path, result):
+    """A CalibrationResult: field correction (G) and g-factor with errors."""
+    write_json(path, {
+        "delta_b_gauss": result.delta_b,
+        "delta_b_uncertainty_gauss": result.delta_b_uncertainty,
+        "g_factor": result.g_factor,
+        "g_uncertainty": result.g_uncertainty,
+        "per_spin_delta_b": result.per_spin,
+    })
+
+
 # ---------------------------------------------------------------------------
-# traces
+# traces and telegraph rates
 
 
 def write_trace_csv(path, trace: TimeTrace):
@@ -257,6 +312,20 @@ def read_trace_csv(path):
     rows = read_csv_rows(path, ["t_s", "counts_per_s"],
                          lambda row: (float(row["t_s"]), float(row["counts_per_s"])))
     return TimeTrace(np.array([t for t, _ in rows]), np.array([c for _, c in rows]))
+
+
+def write_telegraph_json(path, result):
+    """A TelegraphResult: both switching rates, dwell counts and settings."""
+    write_json(path, {
+        "rate_bright_to_dark_hz": result.rate_bright_to_dark.rate,
+        "rate_bright_to_dark_err": result.rate_bright_to_dark.stderr,
+        "rate_dark_to_bright_hz": result.rate_dark_to_bright.rate,
+        "rate_dark_to_bright_err": result.rate_dark_to_bright.stderr,
+        "n_bright_dwells": int(result.bright_dwells.size),
+        "n_dark_dwells": int(result.dark_dwells.size),
+        "threshold_cps": result.threshold,
+        "window_bins": result.smoothing_window,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +361,13 @@ def graph_to_dot(graph):
     return "\n".join(lines) + "\n"
 
 
-def write_graph_dot(path, graph):
-    Path(path).write_text(graph_to_dot(graph))
+def write_graph(path, measurements, positions, cutoff, dot_path):
+    """The coupling graph as JSON at path and, if dot_path, as DOT; returns it."""
+    graph = coupling_graph(measurements, positions, cutoff)
+    write_json(path, graph)
+    if dot_path:
+        Path(dot_path).write_text(graph_to_dot(graph))
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, LabelingError, SingularityError
-from .spinphys import DipolarTensor, FieldConfig, HyperfineTensor, dipolar_tensor
+from .spinphys import FieldConfig, HyperfineTensor, dipolar_tensor
 
 _E_INDEX = {1.5: 0, 0.5: 1, -0.5: 2, -1.5: 3}
 _N_INDEX = {0.5: 0, -0.5: 1}
@@ -86,10 +86,6 @@ class SpinSystemSpec:
         sp1, hf1, p1 = nucleus1
         sp2, hf2, p2 = nucleus2
         return cls(d, field, ((sp1, hf1), (sp2, hf2)), dipolar_tensor(p1, p2, sp1, sp2))
-
-    @property
-    def pair_coupling(self) -> DipolarTensor:
-        return DipolarTensor.from_full(self.pair_tensor)
 
     @property
     def c_zz(self) -> float:
@@ -328,12 +324,6 @@ class SweepResult:
     records: tuple
     max_single: float
     max_averaged: float
-
-    def max_for_mode(self, mode: str) -> float:
-        vals = [r.deviation for r in self.records if r.mode == mode]
-        if not vals:
-            raise InputError(f"no records for mode {mode!r}")
-        return max(vals)
 
 
 _BLOCK = 16  # grid points per stacked build and eigensolve; larger stacks raise peak memory

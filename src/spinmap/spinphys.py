@@ -91,34 +91,12 @@ class HyperfineTensor:
     def a_perp(self) -> float:
         return math.hypot(self.a_zx, self.a_zy)
 
-    @property
-    def a_parallel(self) -> float:
-        return self.a_zz
-
     @classmethod
     def from_perp(cls, a_zz: float, a_perp: float, phi: float = 0.0):
         """Build from magnitude and in-plane angle: A_zx = cos(phi) A_perp."""
         if a_perp < 0:
             raise InputError("a_perp must be >= 0")
         return cls(a_zz, a_perp * math.cos(phi), a_perp * math.sin(phi))
-
-
-@dataclass(frozen=True)
-class DipolarTensor:
-    """z-row of the internuclear coupling tensor, Hz."""
-
-    c_zz: float
-    c_zx: float = 0.0
-    c_zy: float = 0.0
-
-    @classmethod
-    def from_full(cls, tensor: np.ndarray):
-        t = np.asarray(tensor, dtype=float)
-        return cls(t[2, 2], t[2, 0], t[2, 1])
-
-    @property
-    def c_perp(self) -> float:
-        return math.hypot(self.c_zx, self.c_zy)
 
 
 @dataclass(frozen=True)

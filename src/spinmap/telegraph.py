@@ -91,17 +91,14 @@ def _runs(states: np.ndarray):
     return [(bool(s[a]), int(b - a)) for a, b in zip(starts, ends)]
 
 
-def dwell_times(states: np.ndarray, dt: float, include_censored: bool = False):
+def dwell_times(states: np.ndarray, dt: float):
     """(bright dwells, dark dwells) in seconds.
 
-    The first and last runs are censored by the trace edges and excluded
-    unless include_censored is set.
+    The first and last runs are censored by the trace edges and excluded.
     """
     if dt <= 0:
         raise InputError("dt must be positive")
-    runs = _runs(states)
-    if not include_censored:
-        runs = runs[1:-1]
+    runs = _runs(states)[1:-1]
     bright = np.array([n * dt for v, n in runs if v])
     dark = np.array([n * dt for v, n in runs if not v])
     if bright.size < 3 or dark.size < 3:

@@ -13,7 +13,7 @@ import spinmap
 from spinmap import cli, fileio
 from spinmap.cli import DEFAULT_LATTICE_RADIUS, build_parser, main
 from spinmap.errors import InputError, InversionError, NonConvergenceError
-from spinmap.placement import minimum_search_radius
+from spinmap.placement import CouplingMeasurement, minimum_search_radius
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -35,14 +35,7 @@ class TestExitCodes:
 
     def test_domain_error_is_json_on_stderr(self, tmp_path, capsys):
         bad = tmp_path / "c.csv"
-        fileio.write_couplings_csv(
-            bad,
-            [
-                __import__("spinmap.placement", fromlist=["CouplingMeasurement"]).CouplingMeasurement(
-                    "Si1", "Si2", 500.0, 0.2
-                )
-            ],
-        )
+        fileio.write_couplings_csv(bad, [CouplingMeasurement("Si1", "Si2", 500.0, 0.2)])
         rc = run(
             ["place", "--couplings", bad, "--lattice-radius", "12",
              "--out", tmp_path / "s.json"]
@@ -577,6 +570,50 @@ class TestManifests:
         manifest = json.loads((tmp_path / "lat.csv.manifest.json").read_text())
         assert "func" not in manifest["config"]
         assert manifest["inputs"] == {}
+
+
+# sha256 of each output file of the FILE_COMMANDS invocations, recorded before
+# the output payloads moved from cli into fileio (manifests hold tmp paths and
+# are checked by TestManifests)
+OUTPUT_SHA256 = {
+    "lattice": {"out": "8f05e7027c13f8f6f011f53690be89e9e45fd2126e9d362380d7846ca1678423"},
+    "place": {"out": "be3a102bdc0f2d07a2c2b7faf6e5d08d54d63386cb02a1e5a82e467f9ad22d21"},
+    "refine": {"out": "b8ae06c2cda13b4ee4f99e8821425e844022762af8b67012b381be84788d6f01"},
+    "calibrate": {"out": "b0b9433f63221f43ce13df84c4fe245f3c0fdf37407fb169f78797f82e404a75"},
+    "telegraph": {"out": "5475f19f1846d57b8483b07df846a128cdb959065c327eade69797be4728c943"},
+    "synth-cluster": {"out": "f1e6e586c6cab1f8d9ebee91660e8edd744c20b9b2abf3372adbcc0a1f00b5ef"},
+    "synth-couplings": {"out": "c15283fcfcaa626e65b8838de1f0c3dd2a4cc82a3a64619ca4ba9505c5e11c1d"},
+    "synth-telegraph": {"out": "21c6fac6df82f4813405b226da0f10eebb6cb3a39b4a60597b296606f360addd"},
+    "export-graph": {"out": "de8db735be136f63946591fae05c6e145fc07dfa412412884edca13953073840",
+                     "out.dot": "1de48774609c6f4c8c8a872d29909a54e1f44ce1c0ad9a7ef8c7ec9ba3b2bd95"},
+}
+
+
+@pytest.mark.parametrize("name, argv", FILE_COMMANDS, ids=[c[0] for c in FILE_COMMANDS])
+def test_output_bytes_pinned(tmp_path, cli_inputs, name, argv):
+    argv, _ = _resolve(argv, cli_inputs, tmp_path)
+    assert main(argv) == 0
+    written = {p.name: fileio.sha256_file(p) for p in tmp_path.iterdir()
+               if not p.name.endswith(".manifest.json")}
+    assert written == OUTPUT_SHA256[name]
+
+
+def test_underdetermined_refine_writes_strict_json(tmp_path):
+    # two spins and one measured pair: the Hessian condition number is infinite
+    couplings = tmp_path / "c.csv"
+    fileio.write_couplings_csv(couplings, [CouplingMeasurement("Si1", "Si2", 40.0, 0.2)])
+    sols = tmp_path / "s.json"
+    sols.write_text(json.dumps({"solutions": [{"assignment": {
+        "Si1": {"position": [0.0, 0.0, 0.0]}, "Si2": {"position": [3.0, 0.5, 1.0]}}}]}))
+    out = tmp_path / "refined.json"
+    assert run(["refine", "--solution", sols, "--couplings", couplings, "--out", out]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert data["underdetermined"] is True
+    assert data["hessian_condition"] is None
 
 
 # vars(parse_args(argv)) of each subcommand, recorded before the subcommands were

@@ -213,3 +213,25 @@ def test_only_fileio_touches_files():
             if name in FILE_CALLS
         ]
         assert not calls, f"{path.name}: file access at {calls}"
+
+
+def _write_json_calls(tree):
+    """(enclosing function, second argument) of each write_json call in tree."""
+    calls = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and (
+                    getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                ) == "write_json":
+                    calls.append((fn.name, ast.unparse(n.args[1])))
+    return calls
+
+
+def test_cli_writes_only_manifests_itself():
+    # every output payload is built in fileio; cli writes JSON only for manifests
+    src = Path(spinmap.__file__).parent
+    cli_tree = ast.parse((src / "cli.py").read_text())
+    assert _write_json_calls(cli_tree) == [("cmd_reproduce", "manifest"), ("main", "manifest")]
+    with_key = sorted(p.name for p in src.glob("*.py") if '"residual_hz2"' in p.read_text())
+    assert with_key == ["fileio.py"]

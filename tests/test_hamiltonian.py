@@ -530,10 +530,3 @@ class TestBlockedSweep:
 def test_spec_validation_rejects_wrong_nucleus_count(field_1960):
     with pytest.raises(InputError):
         SpinSystemSpec(0.0, field_1960, ((SI29, HyperfineTensor(0.0)),), np.zeros((3, 3)))
-
-
-def test_spec_pair_coupling_view(params):
-    spec = strong_pair_spec(params)
-    row = spec.pair_coupling
-    assert row.c_zz == spec.pair_tensor[2, 2]
-    assert row.c_zx == spec.pair_tensor[2, 0]

@@ -10,7 +10,6 @@ from spinmap.errors import InputError, InversionError, SingularityError
 from spinmap.spinphys import (
     C13,
     SI29,
-    DipolarTensor,
     FieldConfig,
     HyperfineTensor,
     Physics,
@@ -137,14 +136,6 @@ class TestDipolarCoupling:
             assert t[2, 2] == pytest.approx(dipolar_coupling(p1, p2, SI29, C13), rel=1e-12)
             assert np.allclose(t, t.T)
             assert abs(np.trace(t)) < 1e-9 * abs(t).max()
-
-    def test_dipolar_tensor_row_view(self):
-        t = dipolar_tensor([0, 0, 0], [1.0, 2.0, 2.5], SI29, SI29)
-        row = DipolarTensor.from_full(t)
-        assert row.c_zz == t[2, 2]
-        assert row.c_zx == t[2, 0]
-        assert row.c_zy == t[2, 1]
-        assert row.c_perp == pytest.approx(math.hypot(t[2, 0], t[2, 1]))
 
 
 class TestSedorFrequency:

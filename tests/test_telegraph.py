@@ -85,11 +85,6 @@ class TestDwellTimes:
         # censored first and last runs are excluded
         assert bright.size + dark.size == states.size - 2
 
-    def test_include_censored_flag(self):
-        states = np.tile([True, False], 12)
-        bright, dark = dwell_times(states, 1e-3, include_censored=True)
-        assert bright.size + dark.size == states.size
-
     def test_single_state_insufficient(self):
         with pytest.raises(InsufficientStatisticsError):
             dwell_times(np.ones(100, dtype=bool), 1e-3)
