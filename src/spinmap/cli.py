@@ -21,13 +21,7 @@ from . import fileio
 from .calibrate import calibrate_from_scans, field_scan_min_aperp
 from .errors import InputError, RecoveryError, SpinMapError
 from .lattice import LatticeParams, SiteTable, build_lattice
-from .placement import (
-    PlacementConfig,
-    ambiguity_report,
-    canonical_assignment,
-    place_all,
-    _table_symmetry_ops,
-)
+from .placement import PlacementConfig, ambiguity_report, place_all, truth_recovery
 from .refine import RefinementConfig, refine
 from .sequences import (
     ddrf_phase_update,
@@ -271,14 +265,8 @@ def cmd_ddrf_calc(args, physics):
     theta = rotation_angle(
         SequenceParams(args.tau, args.pulses, args.rabi, args.omega_rf, args.omega0, args.omega1)
     )
-    payload = {
-        "phase_update_rad": phase,
-        "effective_rabi_hz": om_eff,
-        "rotation_angle_rad": theta.theta,
-        "sign_conditional_on_initial_state": theta.sign_conditional_on_initial_state,
-    }
     if args.json:
-        print(fileio.canonical_json(payload), end="")
+        print(fileio.ddrf_json(phase, om_eff, theta), end="")
     else:
         print(f"phase update   : {phase:+.6f} rad")
         print(f"effective Rabi : {om_eff:+.3f} Hz")
@@ -385,25 +373,15 @@ def cmd_reproduce(args, physics):
     solutions_path = workdir / "solutions.json"
     fileio.write_solutions_json(solutions_path, solutions, ambiguity_report(solutions))
 
-    ops = _table_symmetry_ops(table)
-    labels = sorted(cluster.truth)
-    truth_idx = tuple(table.index_of_site(cluster.truth[lab]) for lab in labels)
-    truth_canon = canonical_assignment(table, truth_idx, ops)
-    classes = set()
-    recovered = False
-    for sol in solutions:
-        idx = tuple(table.index_of_site(sol.assignment[lab]) for lab in labels)
-        canon = canonical_assignment(table, idx, ops)
-        classes.add(canon)
-        if canon == truth_canon:
-            recovered = True
+    truth = {lab: table.index_of_site(site) for lab, site in cluster.truth.items()}
+    recovered, n_classes = truth_recovery(solutions, truth)
 
     result = refine(solutions[0], measurements, RefinementConfig(physics=physics))
     refined_path = workdir / "refined.json"
     fileio.write_refined_json(refined_path, result, short=True)
     report_path = workdir / "report.json"
     fileio.write_report_json(
-        report_path, solutions, result, len(measurements), recovered, len(classes)
+        report_path, solutions, result, len(measurements), recovered, n_classes
     )
     # manifest is workdir-relative so identical runs compare byte-equal
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "workdir")}
@@ -411,7 +389,7 @@ def cmd_reproduce(args, physics):
     manifest = fileio.build_manifest("reproduce", cfg, [], outputs, physics)
     manifest["outputs"] = {Path(p).name: h for p, h in manifest["outputs"].items()}
     fileio.write_json(workdir / "manifest.json", manifest)
-    unique = len(classes) == 1
+    unique = n_classes == 1
     print(f"recovered={recovered} unique={unique} solutions={len(solutions)} -> {workdir}")
     if not (recovered and unique):
         raise RecoveryError("reproduce pipeline did not uniquely recover the ground truth")

@@ -1,7 +1,7 @@
 """File formats: coupling tables, lattice exports, truth clusters, solution
 files, refinement results and reports, calibration inputs and results,
-traces and telegraph rates, graphs, run manifests, and the flat key=value
-config format.
+traces and telegraph rates, the DDRF gate parameters, graphs, run
+manifests, and the flat key=value config format.
 
 All writers are deterministic (sorted keys, fixed float formatting, no
 timestamps) so identical inputs give byte-identical outputs.
@@ -325,6 +325,16 @@ def write_telegraph_json(path, result):
         "n_dark_dwells": int(result.dark_dwells.size),
         "threshold_cps": result.threshold,
         "window_bins": result.smoothing_window,
+    })
+
+
+def ddrf_json(phase_update, effective_rabi, rotation) -> str:
+    """`ddrf-calc --json` stdout: phase update (rad), effective Rabi (Hz), RotationAngle."""
+    return canonical_json({
+        "phase_update_rad": phase_update,
+        "effective_rabi_hz": effective_rabi,
+        "rotation_angle_rad": rotation.theta,
+        "sign_conditional_on_initial_state": rotation.sign_conditional_on_initial_state,
     })
 
 

@@ -11,7 +11,7 @@ SEDOR measures |C_zz| only, so all constraints compare magnitudes; signs
 are never assumed.  Solutions related by lattice symmetries about the
 anchor axis are collapsed to one representative per symmetry class during
 the search (each partial tracks the residual stabilizer of its placed
-sites) and reported with their symmetry multiplicity.
+sites) and reported with their symmetry orbit.
 """
 
 import math
@@ -79,7 +79,11 @@ class PlacementSolution:
     assignment: dict  # label -> LatticeSite
     residual: float  # Hz^2
     branch_history: tuple  # solution count after each placement step
-    symmetry_multiplicity: int = 1
+    orbit: frozenset  # site-index tuples (in assignment order) of the symmetry images
+
+    @property
+    def symmetry_multiplicity(self) -> int:
+        return len(self.orbit)
 
     def positions(self):
         return {label: site.position for label, site in self.assignment.items()}
@@ -298,33 +302,36 @@ def _canonical_rep_indices(table: SiteTable, indices, ops):
 
 
 def _orbit_info(table: SiteTable, partial, ops):
-    """(canonical tuple, orbit size) of a complete assignment under ops."""
+    """The images (site-index tuples) of a complete assignment under ops."""
     images = set()
     for op in ops:
         mapped = []
-        ok = True
         for i in partial:
             j = table.index_of_position(op @ table.positions[i])
             if j is None:
-                ok = False
                 break
             mapped.append(j)
-        if ok:
+        else:
             images.add(tuple(mapped))
-    if not images:
-        images = {tuple(partial)}
-    return min(images), len(images)
+    return frozenset(images or {tuple(partial)})
 
 
 def canonical_assignment(table: SiteTable, partial, ops):
-    return _orbit_info(table, partial, ops)[0]
+    return min(_orbit_info(table, partial, ops))
+
+
+def truth_recovery(solutions, truth):
+    """(whether a solution's orbit holds the truth, number of symmetry
+    classes) of place_all's solutions; truth maps label -> site index."""
+    recovered = any(tuple(truth[lab] for lab in sol.assignment) in sol.orbit for sol in solutions)
+    return recovered, len({sol.orbit for sol in solutions})
 
 
 def place_all(measurements, table: SiteTable, config: PlacementConfig):
     """Breadth-first branch-and-prune placement of all labeled spins.
 
     Returns every surviving complete assignment (one representative per
-    axial-symmetry class, multiplicity recorded), sorted by residual then
+    axial-symmetry class, with its orbit), sorted by residual then
     site indices.  Deterministic for identical inputs.
     """
     used = [m for m in measurements if m.f_ij >= config.min_detectable]
@@ -390,15 +397,14 @@ def place_all(measurements, table: SiteTable, config: PlacementConfig):
         res = 0.0
         for m, f in zip(used, f_th.tolist()):
             res += (m.f_ij - f) ** 2
-        canon, mult = _orbit_info(table, partial, ops)
-        solutions.append((res, partial, mult))
+        solutions.append((res, partial, _orbit_info(table, partial, ops)))
     solutions.sort(key=lambda t: (t[0], t[1]))
     out = []
     hist = tuple(history)
     site_of = {i: table.site(i) for i in set().union(*partials)}  # shared by the solutions
-    for res, partial, mult in solutions:
+    for res, partial, orbit in solutions:
         assignment = {lab: site_of[i] for lab, i in zip(order, partial)}
-        out.append(PlacementSolution(assignment, res, hist, mult))
+        out.append(PlacementSolution(assignment, res, hist, orbit))
     return out
 
 

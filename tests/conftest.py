@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from spinmap.errors import InputError
 from spinmap.hamiltonian import SpinSystemSpec
 from spinmap.lattice import LatticeParams, SiteTable, build_lattice, reference_site_si1
+from spinmap.placement import canonical_assignment
 from spinmap.spinphys import SI29, FieldConfig, HyperfineTensor, dipolar_alpha, species_for_label
 
 
@@ -34,6 +35,21 @@ def drawn_lattices(draw):
     n_k = len(LatticeParams(a=a, c=c, stacking=stacking).k_layers())
     k_variant = draw(st.integers(0, n_k - 1))
     return LatticeParams(a=a, c=c, stacking=stacking, k_variant=k_variant)
+
+
+def reference_recovery(table, ops, cluster, solutions):
+    """(whether the truth's symmetry class is among the solutions', number of
+    classes), each class recomputed as the canonical assignment in sorted-label
+    order: the reference for placement.truth_recovery, which reads the orbits
+    the solutions carry."""
+    labels = sorted(cluster.truth)
+
+    def canon(assignment):
+        idx = tuple(table.index_of_site(assignment[lab]) for lab in labels)
+        return canonical_assignment(table, idx, ops)
+
+    classes = {canon(sol.assignment) for sol in solutions}
+    return canon(cluster.truth) in classes, len(classes)
 
 
 def reference_sedor_between(table, i, j, physics):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import strong_pair_spec, weak_pair_spec
+from conftest import reference_recovery, strong_pair_spec, weak_pair_spec
 from test_hamiltonian import random_spec
 from test_placement import oracle_sedor
 
@@ -24,8 +24,8 @@ from spinmap.placement import (
     CouplingMeasurement,
     PlacementConfig,
     ambiguity_report,
-    canonical_assignment,
     place_all,
+    truth_recovery,
     _table_symmetry_ops,
 )
 from spinmap.refine import refine, residual_and_gradient
@@ -147,20 +147,11 @@ def test_criterion_04_placement_round_trip(table26):
         measurements = emit_couplings(cluster, table26, 3.0)
         solutions = place_all(measurements, table26, config)
         assert time.perf_counter() - t0 < 30.0  # single run budget
-        labels = sorted(cluster.truth)
-        truth = canonical_assignment(
-            table26, tuple(table26.index_of_site(cluster.truth[lab]) for lab in labels), ops
-        )
-        canons = {
-            canonical_assignment(
-                table26,
-                tuple(table26.index_of_site(sol.assignment[lab]) for lab in labels),
-                ops,
-            )
-            for sol in solutions
-        }
-        assert truth in canons  # never wrong-and-confident
-        if canons == {truth}:
+        hit, n_classes = reference_recovery(table26, ops, cluster, solutions)
+        truth = {lab: table26.index_of_site(site) for lab, site in cluster.truth.items()}
+        assert truth_recovery(solutions, truth) == (hit, n_classes)
+        assert hit  # never wrong-and-confident
+        if n_classes == 1:
             unique_hits += 1
             hist = solutions[0].branch_history
             assert hist[-1] == 1  # collapse to a single arrangement

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spinmap
-from spinmap import cli, fileio
+from spinmap import cli, fileio, placement
 from spinmap.cli import DEFAULT_LATTICE_RADIUS, build_parser, main
 from spinmap.errors import InputError, InversionError, NonConvergenceError
 from spinmap.placement import CouplingMeasurement, minimum_search_radius
@@ -79,8 +79,8 @@ class TestExitCodes:
         assert data[key] == expected
 
     def test_failed_recovery_has_typed_code(self, tmp_path, capsys, monkeypatch):
-        # no solution's canonical form can equal the truth's
-        monkeypatch.setattr(cli, "canonical_assignment", lambda table, idx, ops: object())
+        # no solution's orbit holds the truth
+        monkeypatch.setattr(cli, "truth_recovery", lambda solutions, truth: (False, 1))
         rc = run(["reproduce", "--seed", "1", "--workdir", tmp_path / "w"])
         assert rc == 1
         err = capsys.readouterr().err
@@ -332,7 +332,14 @@ class TestDdrfCalc:
              "--pulses", "16", "--json"]
         )
         assert rc == 0
-        data = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == (
+            '{\n  "effective_rabi_hz": -577.95744031572,\n'
+            '  "phase_update_rad": 0.6283185307179586,\n'
+            '  "rotation_angle_rad": -1.1620523830933935,\n'
+            '  "sign_conditional_on_initial_state": true\n}\n'
+        )
+        data = json.loads(out)
         assert set(data) >= {"phase_update_rad", "effective_rabi_hz", "rotation_angle_rad"}
 
 
@@ -811,6 +818,16 @@ class TestReproduce:
         reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
         manifest = json.loads((seed1_workdir / "manifest.json").read_text())
         assert manifest["outputs"] == reference["reproduce_seed1_outputs"]
+
+    def test_symmetry_detected_once(self, tmp_path, monkeypatch):
+        # reproduce reads recovery and the class count from the solutions' orbits
+        calls = []
+        detect = placement._table_symmetry_ops
+        for module in (placement, cli):  # a name imported into cli would escape the count
+            monkeypatch.setattr(module, "_table_symmetry_ops",
+                                lambda table: calls.append(table) or detect(table), raising=False)
+        assert run(["reproduce", "--seed", "1", "--workdir", tmp_path / "w"]) == 0
+        assert len(calls) == 1
 
     def test_report_contents(self, seed1_workdir):
         report = json.loads((seed1_workdir / "report.json").read_text())

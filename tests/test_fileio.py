@@ -167,7 +167,8 @@ class TestSolutionsIO:
         from spinmap.placement import PlacementSolution
 
         sol = PlacementSolution(
-            {"Si1": table26.site(0), "Si2": table26.site(5)}, 0.25, (1, 2), 3
+            {"Si1": table26.site(0), "Si2": table26.site(5)}, 0.25, (1, 2),
+            orbit=frozenset({(0, 5), (1, 6), (2, 7)}),
         )
         p = tmp_path / "sol.json"
         fileio.write_solutions_json(p, [sol], ambiguous={"Si2": [table26.site(5)]})
@@ -183,7 +184,7 @@ class TestSolutionsIO:
 
         p = tmp_path / "sol.json"
         fileio.write_solutions_json(
-            p, [PlacementSolution({"Si1": table26.site(0)}, 0.0, (1,), 1)]
+            p, [PlacementSolution({"Si1": table26.site(0)}, 0.0, (1,), orbit=frozenset({(0,)}))]
         )
         with pytest.raises(InputError):
             fileio.read_solution_positions(p, index=4)
@@ -215,23 +216,28 @@ def test_only_fileio_touches_files():
         assert not calls, f"{path.name}: file access at {calls}"
 
 
-def _write_json_calls(tree):
-    """(enclosing function, second argument) of each write_json call in tree."""
+def _calls(tree, name, arg):
+    """(enclosing function, argument arg) of each call of name in tree."""
     calls = []
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
             for n in ast.walk(fn):
                 if isinstance(n, ast.Call) and (
                     getattr(n.func, "id", None) or getattr(n.func, "attr", None)
-                ) == "write_json":
-                    calls.append((fn.name, ast.unparse(n.args[1])))
+                ) == name:
+                    calls.append((fn.name, ast.unparse(n.args[arg])))
     return calls
 
 
 def test_cli_writes_only_manifests_itself():
-    # every output payload is built in fileio; cli writes JSON only for manifests
+    # every output payload is built in fileio; cli writes JSON only for manifests,
+    # and prints canonical JSON only of the constant table
     src = Path(spinmap.__file__).parent
     cli_tree = ast.parse((src / "cli.py").read_text())
-    assert _write_json_calls(cli_tree) == [("cmd_reproduce", "manifest"), ("main", "manifest")]
-    with_key = sorted(p.name for p in src.glob("*.py") if '"residual_hz2"' in p.read_text())
-    assert with_key == ["fileio.py"]
+    assert _calls(cli_tree, "write_json", 1) == [("cmd_reproduce", "manifest"),
+                                                 ("main", "manifest")]
+    assert _calls(cli_tree, "canonical_json", 0) == [("cmd_constants",
+                                                      "physics.constants_table()")]
+    for key in ('"residual_hz2"', '"phase_update_rad"'):
+        with_key = sorted(p.name for p in src.glob("*.py") if key in p.read_text())
+        assert with_key == ["fileio.py"], key

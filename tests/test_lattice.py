@@ -254,6 +254,16 @@ class TestSymmetry:
             assert len(rotations) == 3
             assert len(mirrors) == 3
 
+    @pytest.mark.parametrize("a", [
+        3.07304,
+        pytest.param(3.07301, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 2: a/2 = 1.536505 lies on a 5-decimal tie of "
+                                "the float site keys, so rotated images miss the index")),
+    ])
+    def test_c3v_group_found_near_ideal_a(self, a):
+        table = SiteTable(build_lattice(LatticeParams(a=a), 9.0))
+        assert len(_table_symmetry_ops(table)) == 6
+
     def test_ops_preserve_z(self):
         for ops in self.ops_by_variant():
             for op in ops:

@@ -1,11 +1,14 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import drawn_lattices, reference_sedor_between
+import spinmap
+from conftest import drawn_lattices, reference_recovery, reference_sedor_between
 from spinmap.errors import (
     CapacityError,
     ConnectivityError,
@@ -17,11 +20,11 @@ from spinmap.placement import (
     PlacementConfig,
     ambiguity_report,
     candidate_sites,
-    canonical_assignment,
     order_heuristic,
     place_all,
     sedor_between,
     tolerance_for_pair,
+    truth_recovery,
     _table_symmetry_ops,
 )
 from spinmap.lattice import LatticeParams, SiteTable, build_lattice
@@ -69,20 +72,6 @@ def paper_like(table, seed, noise=None):
         table, 22, 3, ClusterStructure("clustered", 4, 5, 7), seed=seed, noise=noise
     )
     return cluster, emit_couplings(cluster, table, 3.0)
-
-
-def recovered(table, ops, cluster, solutions):
-    labels = sorted(cluster.truth)
-    truth = tuple(table.index_of_site(cluster.truth[lab]) for lab in labels)
-    truth_canon = canonical_assignment(table, truth, ops)
-    classes = set()
-    hit = False
-    for sol in solutions:
-        idx = tuple(table.index_of_site(sol.assignment[lab]) for lab in labels)
-        canon = canonical_assignment(table, idx, ops)
-        classes.add(canon)
-        hit = hit or canon == truth_canon
-    return hit, len(classes)
 
 
 class TestCouplingMeasurement:
@@ -247,7 +236,7 @@ class TestPlaceAll:
         cluster, meas = paper_like(table26, seed=1)
         sols = place_all(meas, table26, PlacementConfig())
         ops = _table_symmetry_ops(table26)
-        hit, n_classes = recovered(table26, ops, cluster, sols)
+        hit, n_classes = reference_recovery(table26, ops, cluster, sols)
         assert hit and n_classes == 1
         assert sols[0].residual == pytest.approx(0.0, abs=1e-9)
 
@@ -259,7 +248,7 @@ class TestPlaceAll:
         meas = emit_couplings(cluster, table26, 3.0)
         sols = place_all(meas, table26, PlacementConfig())
         ops = _table_symmetry_ops(table26)
-        hit, _ = recovered(table26, ops, cluster, sols)
+        hit, _ = reference_recovery(table26, ops, cluster, sols)
         assert hit
 
     def test_rise_then_collapse_history(self, table26):
@@ -382,12 +371,51 @@ class TestSymmetryEquivariance:
         results = []
         for c in (cluster, mapped):
             sols = place_all(emit_couplings(c, table26, 3.0), table26, config)
-            hit, n_classes = recovered(table26, ops, c, sols)
+            hit, n_classes = reference_recovery(table26, ops, c, sols)
             assert hit
             results.append((n_classes, sorted(sol.residual for sol in sols)))
         (n0, res0), (n1, res1) = results
         assert n1 == n0
         assert res1 == pytest.approx(res0, rel=1e-9, abs=0.0)
+
+
+class TestLabelPermutation:
+    """Renaming non-anchor labels within a species may change the search
+    order, but not the result: the same residuals, the same symmetry classes
+    (as label -> site images, named back), and the truth recovered or not alike."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 19), data=st.data())
+    def test_renamed_labels_same_result(self, table26, seed, data):
+        cluster = generate_connected_cluster(
+            table26, 22, 3, ClusterStructure("clustered", 4, 5, 7), seed=seed,
+            noise=NoiseModel("gaussian", 0.2, 3.0),
+        )
+        meas = emit_couplings(cluster, table26, 3.0)
+        truth = {lab: table26.index_of_site(site) for lab, site in cluster.truth.items()}
+        si = sorted(lab for lab in truth if lab.startswith("Si") and lab != "Si1")
+        c = sorted(lab for lab in truth if lab.startswith("C"))
+        rename = {"Si1": "Si1"}
+        rename.update(zip(si, data.draw(st.permutations(si), label="Si renaming")))
+        rename.update(zip(c, data.draw(st.permutations(c), label="C renaming")))
+        results = []
+        for names in ({lab: lab for lab in truth}, rename):
+            config = PlacementConfig(tolerance_overrides={(names["Si1"], names["Si2"]): 3.0})
+            renamed = [dataclasses.replace(m, spin_a=names[m.spin_a], spin_b=names[m.spin_b])
+                       for m in meas]
+            sols = place_all(renamed, table26, config)
+            recovery = truth_recovery(sols, {names[lab]: i for lab, i in truth.items()})
+            old = {new: lab for lab, new in names.items()}
+            classes = {
+                frozenset(frozenset(zip(map(old.get, sol.assignment), image))
+                          for image in sol.orbit)
+                for sol in sols
+            }
+            results.append((recovery, classes, sorted(sol.residual for sol in sols)))
+        (rec0, classes0, res0), (rec1, classes1, res1) = results
+        assert rec1 == rec0
+        assert classes1 == classes0
+        assert res1 == pytest.approx(res0, rel=1e-12, abs=0.0)
 
 
 class TestSedorBetween:
@@ -478,3 +506,21 @@ class TestAmbiguity:
         _, meas = paper_like(table26, seed=1)
         sols = place_all(meas, table26, PlacementConfig())
         assert ambiguity_report(sols) == {}
+
+
+SYMMETRY_INTERNALS = {"_table_symmetry_ops", "_orbit_info", "canonical_assignment"}
+
+
+def test_only_placement_uses_symmetry_internals():
+    # one symmetry implementation: other modules read the orbits the solutions carry
+    for path in sorted(Path(spinmap.__file__).parent.glob("*.py")):
+        if path.name == "placement.py":
+            continue
+        uses = [
+            (n.lineno, name)
+            for n in ast.walk(ast.parse(path.read_text()))
+            for name in [getattr(n, "id", None) or getattr(n, "attr", None)
+                         or getattr(n, "name", None)]
+            if name in SYMMETRY_INTERNALS
+        ]
+        assert not uses, f"{path.name}: symmetry internals used at {uses}"

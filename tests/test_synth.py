@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinmap.errors import InputError
-from conftest import reference_sedor_between
+from conftest import reference_recovery, reference_sedor_between
 from spinmap.lattice import LatticeParams, SiteTable, build_lattice
 from spinmap.placement import CouplingMeasurement
 from spinmap.spinphys import DEFAULT_PHYSICS
@@ -190,12 +190,7 @@ class TestEndToEnd:
     def test_generate_emit_place_refine_recovers_truth(self, table26):
         # full chain over 20 seeds: failures may only be ambiguity reports,
         # never a confident wrong answer
-        from spinmap.placement import (
-            PlacementConfig,
-            _table_symmetry_ops,
-            canonical_assignment,
-            place_all,
-        )
+        from spinmap.placement import PlacementConfig, _table_symmetry_ops, place_all
         from spinmap.refine import refine
 
         ops = _table_symmetry_ops(table26)
@@ -209,22 +204,9 @@ class TestEndToEnd:
             )
             meas = emit_couplings(cluster, table26, 3.0)
             sols = place_all(meas, table26, config)
-            labels = sorted(cluster.truth)
-            truth = canonical_assignment(
-                table26,
-                tuple(table26.index_of_site(cluster.truth[lab]) for lab in labels),
-                ops,
-            )
-            canons = {
-                canonical_assignment(
-                    table26,
-                    tuple(table26.index_of_site(s.assignment[lab]) for lab in labels),
-                    ops,
-                )
-                for s in sols
-            }
-            assert truth in canons
-            if canons != {truth}:
+            hit, n_classes = reference_recovery(table26, ops, cluster, sols)
+            assert hit
+            if n_classes != 1:
                 continue  # ambiguous, honestly reported via multiple classes
             refined = refine(sols[0], meas)
             assert refined.displacements.max < 3.08
