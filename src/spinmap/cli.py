@@ -373,8 +373,7 @@ def cmd_reproduce(args, physics):
     solutions_path = workdir / "solutions.json"
     fileio.write_solutions_json(solutions_path, solutions, ambiguity_report(solutions))
 
-    truth = {lab: table.index_of_site(site) for lab, site in cluster.truth.items()}
-    recovered, n_classes = truth_recovery(solutions, truth)
+    recovered, n_classes = truth_recovery(solutions, cluster.index)
 
     result = refine(solutions[0], measurements, RefinementConfig(physics=physics))
     refined_path = workdir / "refined.json"

@@ -156,17 +156,16 @@ def write_truth_json(path, cluster, cluster_of=True):
 def read_truth_json(path, table):
     """The SyntheticCluster of a truth file, its sites looked up in table."""
     data = read_json(path)
-    truth = {}
+    index = {}
     try:
         for lab, entry in data["truth"].items():
-            idx = table.index_of_position(np.array(entry["position"], dtype=float))
-            if idx is None:
+            index[lab] = table.index_of_position(np.array(entry["position"], dtype=float))
+            if index[lab] is None:
                 raise InputError(f"{path}: site for {lab} not on the configured lattice")
-            truth[lab] = table.site(idx)
         seed = tuple(data.get("seed", (0,)))
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed truth file: {exc}") from exc
-    return SyntheticCluster(truth, NoiseModel(), seed)
+    return SyntheticCluster(table, index, NoiseModel(), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ vacancy).  z runs along the crystal c-axis; all distances in angstrom.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -222,7 +223,8 @@ def reference_site_si1(params: LatticeParams) -> LatticeSite:
 
 
 class SiteTable:
-    """A Lattice's columns (shared, not copied) with fast position lookup."""
+    """A Lattice's columns (shared, not copied) with fast position lookup,
+    and per-table values computed on first use."""
 
     def __init__(self, lattice: Lattice):
         self.species, self.cells, self.basis, self.positions = (
@@ -252,3 +254,20 @@ class SiteTable:
 
     def index_of_site(self, site: LatticeSite):
         return self.index_of_position(site.position)
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """Distance of each site from the vacancy (angstrom)."""
+        return np.linalg.norm(self.positions, axis=1)
+
+    @cached_property
+    def anchor_index(self) -> int:
+        """Index of the on-axis Si site with the smallest positive z."""
+        pos = self.positions
+        on_axis = (np.hypot(pos[:, 0], pos[:, 1]) < 1e-6) & (pos[:, 2] > 0) & (
+            self.species == SPECIES_SI
+        )
+        idx = np.flatnonzero(on_axis)
+        if idx.size == 0:
+            raise InputError("lattice contains no on-axis Si site above the vacancy")
+        return int(idx[np.argmin(pos[idx, 2])])

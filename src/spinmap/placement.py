@@ -148,18 +148,6 @@ def minimum_search_radius(min_detectable: float, cluster_extent: float = 0.0,
     return cluster_extent + (2.0 * alpha / min_detectable) ** (1.0 / 3.0)
 
 
-def find_anchor_site(table: SiteTable) -> int:
-    """Index of the on-axis Si site with the smallest positive z."""
-    pos = table.positions
-    on_axis = (np.hypot(pos[:, 0], pos[:, 1]) < 1e-6) & (pos[:, 2] > 0) & (
-        table.species == "Si"
-    )
-    idx = np.flatnonzero(on_axis)
-    if idx.size == 0:
-        raise InputError("lattice contains no on-axis Si site above the vacancy")
-    return int(idx[np.argmin(pos[idx, 2])])
-
-
 class _FrequencyCache:
     """Vectorized |C_zz|/2 from one reference site to all sites of a species."""
 
@@ -341,7 +329,6 @@ def place_all(measurements, table: SiteTable, config: PlacementConfig):
     if species_for_label(config.anchor).name != "Si29":
         raise InputError("anchor must be a silicon label")
 
-    anchor_idx = find_anchor_site(table)
     cache = _FrequencyCache(table, config.physics)
     ops = _table_symmetry_ops(table)
 
@@ -349,7 +336,7 @@ def place_all(measurements, table: SiteTable, config: PlacementConfig):
     # symmetry operations fixing every placed site); candidates are reduced
     # to one representative per stabilizer orbit, so every symmetry class of
     # assignments is explored exactly once
-    partials = [(anchor_idx,)]
+    partials = [(table.anchor_index,)]
     stabilizers = [tuple(range(len(ops)))]
     history = [1]
     for k, label in enumerate(order[1:], start=1):

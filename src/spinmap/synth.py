@@ -8,13 +8,13 @@ worst-case studies.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .lattice import SiteTable
-from .placement import CouplingMeasurement, find_anchor_site, sedor_between
+from .placement import CouplingMeasurement, sedor_between
 from .spinphys import DEFAULT_PHYSICS, Physics
 
 MAX_TRIES = 40  # deterministic redraws of a cluster before giving up
@@ -95,16 +95,17 @@ def _seed_tuple(seed):
 
 @dataclass(frozen=True)
 class SyntheticCluster:
-    """Ground-truth assignment of labels to lattice sites."""
+    """Ground-truth assignment of labels to the sites of one SiteTable."""
 
-    truth: dict  # label -> LatticeSite
+    table: InitVar[SiteTable]
+    index: dict  # label -> site index in table
     noise_model: NoiseModel
     seed: tuple
     cluster_of: dict = field(default_factory=dict)  # label -> cluster id
+    truth: dict = field(init=False)  # label -> LatticeSite, table's site index[label]
 
-    @property
-    def labels(self):
-        return list(self.truth.keys())
+    def __post_init__(self, table):
+        object.__setattr__(self, "truth", {lab: table.site(i) for lab, i in self.index.items()})
 
     def positions(self):
         return {lab: site.position for lab, site in self.truth.items()}
@@ -117,8 +118,7 @@ def _pick_cluster_seeds(table, rng, anchor_idx, n_clusters):
     seed lies within SEED_MAX_LINK of an existing one so inter-cluster
     couplings stay measurable.
     """
-    pos = table.positions
-    r = np.linalg.norm(pos, axis=1)
+    pos, r = table.positions, table.radii
     pool = np.flatnonzero((r >= SEED_R_MIN) & (r <= SEED_R_MAX))
     seeds = [anchor_idx]
     for _ in range(SEED_ATTEMPTS):
@@ -135,25 +135,23 @@ def _pick_cluster_seeds(table, rng, anchor_idx, n_clusters):
     return seeds
 
 
-def generate_cluster(
-    table: SiteTable,
-    n_si: int,
-    n_c: int,
-    structure: ClusterStructure = ClusterStructure(),
-    seed: int = 0,
-    noise: NoiseModel = NoiseModel(),
-) -> SyntheticCluster:
-    """Choose ground-truth sites for n_si silicon and n_c carbon spins.
+def _nearest(d, m):
+    """Indices of the m smallest entries of d in np.argsort(d, kind="stable")
+    order, ties included; only the entries at or below the m-th smallest are
+    sorted."""
+    if m >= d.size:
+        return np.argsort(d, kind="stable")
+    k = max(m, 1) - 1
+    near = np.flatnonzero(d <= np.partition(d, k)[k])
+    return near[np.argsort(d[near], kind="stable")][:m]
 
-    The anchor label Si1 always sits on the on-axis reference site.  In
-    clustered mode, spins grow as compact neighborhoods around n_clusters
-    seed sites (first seed = anchor); sizes are balanced within
-    [size_min, size_max].
-    """
+
+def _draw_indices(table, n_si, n_c, structure, seed):
+    """(label -> site index, label -> cluster id) of generate_cluster's draw."""
     if n_si < 1:
         raise InputError("need at least the Si1 anchor (n_si >= 1)")
     rng = np.random.default_rng(_seed_tuple(seed))
-    anchor_idx = find_anchor_site(table)
+    anchor_idx = table.anchor_index
     n_total = n_si + n_c
     si_idx_all = table.by_species["Si"]
     c_idx_all = table.by_species["C"]
@@ -164,11 +162,15 @@ def generate_cluster(
     cluster_of_site = {anchor_idx: 0}
 
     if structure.kind == "random":
-        pos = table.positions
-        r = np.linalg.norm(pos, axis=1)
+        r = table.radii
         ball = 12.0
         si_pool = si_idx_all[(r[si_idx_all] <= ball) & (si_idx_all != anchor_idx)]
         c_pool = c_idx_all[r[c_idx_all] <= ball]
+        if n_si - 1 > si_pool.size or n_c > c_pool.size:
+            raise InputError(
+                f"the {ball} A ball holds {si_pool.size} Si sites besides the anchor and "
+                f"{c_pool.size} C sites; {n_si - 1} and {n_c} requested"
+            )
         chosen_si += [int(i) for i in rng.choice(si_pool, size=n_si - 1, replace=False)]
         chosen_c += [int(i) for i in rng.choice(c_pool, size=n_c, replace=False)]
         cluster_of_site.update({i: 0 for i in chosen_si + chosen_c})
@@ -191,45 +193,51 @@ def generate_cluster(
         seeds = _pick_cluster_seeds(table, rng, anchor_idx, k)
         taken = {anchor_idx}
         pos = table.positions
+        per_species = [(si_idx_all, chosen_si), (c_idx_all, chosen_c)]
         for ci, (seed_idx, size) in enumerate(zip(seeds, sizes)):
             n_c_here = c_in_cluster[ci]
             n_si_here = size - n_c_here
             if ci == 0:
                 n_si_here -= 1  # anchor already counted
-            d_si = np.linalg.norm(pos[si_idx_all] - pos[seed_idx], axis=1)
-            for j in np.argsort(d_si, kind="stable"):
-                if n_si_here == 0:
-                    break
-                cand = int(si_idx_all[j])
-                if cand in taken:
-                    continue
-                taken.add(cand)
-                chosen_si.append(cand)
-                cluster_of_site[cand] = ci
-                n_si_here -= 1
-            d_c = np.linalg.norm(pos[c_idx_all] - pos[seed_idx], axis=1)
-            for j in np.argsort(d_c, kind="stable"):
-                if n_c_here == 0:
-                    break
-                cand = int(c_idx_all[j])
-                if cand in taken:
-                    continue
-                taken.add(cand)
-                chosen_c.append(cand)
-                cluster_of_site[cand] = ci
-                n_c_here -= 1
+            for (idx_all, chosen), n in zip(per_species, (n_si_here, n_c_here)):
+                d = np.linalg.norm(pos[idx_all] - pos[seed_idx], axis=1)
+                # the n nearest free sites lie among the n + len(taken) nearest;
+                # a negative n (more carbons than the cluster holds) never stops
+                for j in _nearest(d, n + len(taken) if n >= 0 else d.size):
+                    if n == 0:
+                        break
+                    cand = int(idx_all[j])
+                    if cand in taken:
+                        continue
+                    taken.add(cand)
+                    chosen.append(cand)
+                    cluster_of_site[cand] = ci
+                    n -= 1
         if len(chosen_si) != n_si or len(chosen_c) != n_c:
             raise InputError("lattice too small for the requested cluster layout")
 
-    truth = {}
-    cluster_of = {}
-    for n, idx in enumerate(chosen_si, start=1):
-        truth[f"Si{n}"] = table.site(idx)
-        cluster_of[f"Si{n}"] = cluster_of_site[idx]
-    for n, idx in enumerate(chosen_c, start=1):
-        truth[f"C{n}"] = table.site(idx)
-        cluster_of[f"C{n}"] = cluster_of_site[idx]
-    return SyntheticCluster(truth, noise, _seed_tuple(seed), cluster_of)
+    index = {f"Si{n}": i for n, i in enumerate(chosen_si, start=1)}
+    index.update({f"C{n}": i for n, i in enumerate(chosen_c, start=1)})
+    return index, {lab: cluster_of_site[i] for lab, i in index.items()}
+
+
+def generate_cluster(
+    table: SiteTable,
+    n_si: int,
+    n_c: int,
+    structure: ClusterStructure = ClusterStructure(),
+    seed: int = 0,
+    noise: NoiseModel = NoiseModel(),
+) -> SyntheticCluster:
+    """Choose ground-truth sites for n_si silicon and n_c carbon spins.
+
+    The anchor label Si1 always sits on the on-axis reference site.  In
+    clustered mode, spins grow as compact neighborhoods around n_clusters
+    seed sites (first seed = anchor); sizes are balanced within
+    [size_min, size_max].
+    """
+    index, cluster_of = _draw_indices(table, n_si, n_c, structure, seed)
+    return SyntheticCluster(table, index, noise, _seed_tuple(seed), cluster_of)
 
 
 def generate_spread_cluster(table: SiteTable, seed: int = 0, noise: NoiseModel = NoiseModel(),
@@ -244,9 +252,8 @@ def generate_spread_cluster(table: SiteTable, seed: int = 0, noise: NoiseModel =
     respond to noise on the angstrom scale.  Retries deterministically when
     the prune cascades below SPREAD_MIN_CORE.
     """
-    anchor_idx = find_anchor_site(table)
-    pos = table.positions
-    r = np.linalg.norm(pos, axis=1)
+    anchor_idx = table.anchor_index
+    pos, r = table.positions, table.radii
     pool = [int(i) for i in table.by_species["Si"] if r[i] <= SPREAD_BALL_RADIUS]
 
     def degrees(nodes):
@@ -276,19 +283,20 @@ def generate_spread_cluster(table: SiteTable, seed: int = 0, noise: NoiseModel =
                 break
             nodes = [i for i, k in zip(nodes, keep) if k]
         if len(nodes) >= SPREAD_MIN_CORE and deg[0] >= 1:
-            truth = {f"Si{n}": table.site(i) for n, i in enumerate(nodes, start=1)}
-            return SyntheticCluster(truth, noise, _seed_tuple(seed), {lab: 0 for lab in truth})
+            index = {f"Si{n}": i for n, i in enumerate(nodes, start=1)}
+            cluster_of = dict.fromkeys(index, 0)
+            return SyntheticCluster(table, index, noise, _seed_tuple(seed), cluster_of)
     raise InputError(
         f"no spread cluster with >= {SPREAD_MIN_CORE} spins found in {MAX_TRIES} "
         f"attempts for seed {seed}"
     )
 
 
-def _truth_pair_sedor(cluster: SyntheticCluster, table: SiteTable, physics: Physics):
-    """Sorted labels, the label indices (a, b) of every pair a < b in row
-    order, and each pair's noiseless |C_zz|/2."""
-    labels = sorted(cluster.truth)
-    sites = np.array([table.index_of_site(cluster.truth[lab]) for lab in labels])
+def _truth_pair_sedor(index, table: SiteTable, physics: Physics):
+    """Sorted labels of index (label -> site index), the label indices (a, b)
+    of every pair a < b in row order, and each pair's noiseless |C_zz|/2."""
+    labels = sorted(index)
+    sites = np.array([index[lab] for lab in labels])
     a, b = np.triu_indices(len(labels), 1)
     return labels, a, b, sedor_between(table, sites[a], sites[b], physics)
 
@@ -301,7 +309,7 @@ def emit_couplings(cluster: SyntheticCluster, table: SiteTable, min_detectable: 
     noise = cluster.noise_model if noise is None else noise
     seed = cluster.seed if seed is None else seed
     rng = np.random.default_rng(_seed_tuple(seed) + (0xC0FFEE,))
-    labels, a, b, f_true = _truth_pair_sedor(cluster, table, physics)
+    labels, a, b, f_true = _truth_pair_sedor(cluster.index, table, physics)
     f_meas = f_true + noise.draw(rng, f_true.size)
     return [
         CouplingMeasurement(labels[x], labels[y], f, noise.sigma, "averaged")
@@ -310,10 +318,11 @@ def emit_couplings(cluster: SyntheticCluster, table: SiteTable, min_detectable: 
     ]
 
 
-def truth_graph_connected(cluster: SyntheticCluster, table: SiteTable, min_detectable: float = 3.0,
+def truth_graph_connected(index, table: SiteTable, min_detectable: float = 3.0,
                           physics: Physics = DEFAULT_PHYSICS) -> bool:
-    """True when the noiseless coupling graph connects every spin to Si1."""
-    labels, a, b, f = _truth_pair_sedor(cluster, table, physics)
+    """True when the noiseless coupling graph of a cluster's label -> site
+    index connects every spin to Si1."""
+    labels, a, b, f = _truth_pair_sedor(index, table, physics)
     a, b = a[f >= min_detectable], b[f >= min_detectable]
     seen = np.array([lab == "Si1" for lab in labels])
     while True:  # add every spin coupled to a seen one, until nothing is added
@@ -330,9 +339,9 @@ def generate_connected_cluster(table, n_si, n_c, structure=ClusterStructure(),
     """generate_cluster, retried deterministically until the noiseless
     coupling graph is connected from the anchor."""
     for t in range(MAX_TRIES):
-        cluster = generate_cluster(table, n_si, n_c, structure, (seed, t), noise)
-        if truth_graph_connected(cluster, table, min_detectable, physics):
-            return cluster
+        index, cluster_of = _draw_indices(table, n_si, n_c, structure, (seed, t))
+        if truth_graph_connected(index, table, min_detectable, physics):
+            return SyntheticCluster(table, index, noise, _seed_tuple((seed, t)), cluster_of)
     raise InputError(
         f"no connected cluster found in {MAX_TRIES} attempts for seed {seed}"
     )

@@ -25,10 +25,21 @@ from spinmap.placement import (
     sedor_between,
     tolerance_for_pair,
     truth_recovery,
+    _FrequencyCache,
     _table_symmetry_ops,
 )
+from spinmap.constants import GAMMA_C13, GAMMA_SI29
+from spinmap.hamiltonian import SpinSystemSpec
 from spinmap.lattice import LatticeParams, SiteTable, build_lattice
-from spinmap.spinphys import DEFAULT_PHYSICS, Physics
+from spinmap.refine import _czz_with_gradient, _Terms
+from spinmap.spinphys import (
+    DEFAULT_PHYSICS,
+    FieldConfig,
+    HyperfineTensor,
+    Physics,
+    dipolar_alpha,
+    dipolar_coupling,
+)
 from spinmap.synth import ClusterStructure, NoiseModel, emit_couplings, generate_connected_cluster
 
 # Independent dipolar evaluation for the soundness checker and brute-force
@@ -364,9 +375,7 @@ class TestSymmetryEquivariance:
             for lab, site in cluster.truth.items()
         }
         assert None not in images.values()
-        mapped = dataclasses.replace(
-            cluster, truth={lab: table26.site(i) for lab, i in images.items()}
-        )
+        mapped = dataclasses.replace(cluster, table=table26, index=images)
         config = PlacementConfig(tolerance_overrides={("Si1", "Si2"): 3.0})
         results = []
         for c in (cluster, mapped):
@@ -446,6 +455,57 @@ class TestSedorBetween:
 
     def test_empty_pair_list(self, table26):
         assert sedor_between(table26, [], [], DEFAULT_PHYSICS).shape == (0,)
+
+
+class TestOneValueOfF:
+    """The five codes that turn two positions into C_zz give one SEDOR
+    frequency |C_zz|/2: placement's frequency cache, sedor_between, the
+    refinement kernel, dipolar_coupling and the Hamiltonian's pair tensor.
+
+    They agree to 1e-12 of the pair's scale |alpha| / (2 r^3), which is the
+    size of |C_zz|/2 away from the magic angle.  Near it C_zz cancels, and
+    there the codes' roundings differ by up to about 1e-12 of f itself."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(drawn_lattices(), st.data(),
+           st.floats(0.5, 2.0).flatmap(lambda s: st.sampled_from([s, -s])),
+           st.floats(0.5, 2.0).flatmap(lambda s: st.sampled_from([s, -s])))
+    @example(LatticeParams(), None, 1.0, 1.0)
+    def test_pair_frequency_codes_agree(self, params, data, scale_si, scale_c):
+        table = SiteTable(build_lattice(params, 8.0))
+        physics = Physics.from_gammas(GAMMA_SI29 * scale_si, GAMMA_C13 * scale_c)
+        n = len(table)
+        if data is None:  # the explicit example takes every pair among the first sites
+            pairs = [(a, b) for a in range(12) for b in range(12) if a != b]
+        else:
+            pairs = data.draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] != p[1]), min_size=1, max_size=20))
+        i, j = (np.array(col) for col in zip(*pairs))
+        species = {"Si": physics.si29, "C": physics.c13}
+        sp_i = [species[x] for x in table.species[i]]
+        sp_j = [species[x] for x in table.species[j]]
+        pos_i, pos_j = table.positions[i], table.positions[j]
+
+        between = sedor_between(table, i, j, physics)
+        cache = _FrequencyCache(table, physics)
+        cached = [cache.sedor(a, s.name)[np.searchsorted(table.by_species[table.species[b]], b)]
+                  for a, b, s in zip(i.tolist(), j.tolist(), sp_j)]
+        alpha = np.array([dipolar_alpha(a, b) for a, b in zip(sp_i, sp_j)])
+        k = np.arange(len(pairs))
+        kernel, _ = _czz_with_gradient(np.concatenate([pos_i, pos_j]),
+                                       _Terms(k, k + len(pairs), np.zeros(len(pairs)), alpha))
+        coupling = [dipolar_coupling(p, q, a, b) for p, q, a, b in zip(pos_i, pos_j, sp_i, sp_j)]
+        hf = HyperfineTensor.from_perp(30e3, 3e3)
+        tensor = [SpinSystemSpec.from_geometry(35e6, FieldConfig(b_z=1960.9), (a, hf, p),
+                                               (b, hf, q)).c_zz
+                  for p, q, a, b in zip(pos_i, pos_j, sp_i, sp_j)]
+        scale = 0.5 * np.abs(alpha) / np.linalg.norm(pos_j - pos_i, axis=1) ** 3
+        for name, f in [("cache", cached), ("refine kernel", 0.5 * np.abs(kernel)),
+                        ("dipolar_coupling", 0.5 * np.abs(coupling)),
+                        ("pair tensor", 0.5 * np.abs(tensor))]:
+            err = np.abs(np.asarray(f) - between) / scale
+            assert err.max() <= 1e-12, f"{name}: {err.max():.3g} of the pair scale"
 
 
 class TestSearchRadius:

@@ -1,6 +1,15 @@
+import ast
+import dataclasses
+import functools
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinmap import fileio, synth
 from spinmap.errors import InputError
 from conftest import reference_recovery, reference_sedor_between
 from spinmap.lattice import LatticeParams, SiteTable, build_lattice
@@ -112,6 +121,124 @@ class TestGenerateCluster:
             198, 672, 415, 345, 372, 347, 403, 455, 639, 378, 127, 546,
         ]
 
+    @pytest.mark.parametrize("n_si, n_c", [(400, 0), (1, 400)])
+    def test_random_pool_smaller_than_request(self, params, n_si, n_c):
+        # the table holds enough sites, the 12 A ball the random draw picks from does not
+        table = SiteTable(build_lattice(params, 20.0))
+        assert table.by_species["Si"].size > n_si and table.by_species["C"].size > n_c
+        with pytest.raises(InputError, match=r"12.0 A ball holds \d+ Si sites .* and \d+ C sites"):
+            generate_cluster(table, n_si, n_c, ClusterStructure("random"), seed=0)
+
+
+@pytest.fixture(scope="module")
+def table30(params):
+    return SiteTable(build_lattice(params, 30.0))
+
+
+def _draws_digest(table, clusters):
+    """sha256 over each cluster's truth site indices, cluster ids, seed and the
+    bits of its 3 Hz coupling table."""
+    h = hashlib.sha256()
+    for cluster in clusters:
+        h.update(repr((
+            [(lab, table.index_of_site(site)) for lab, site in cluster.truth.items()],
+            list(cluster.cluster_of.items()),
+            cluster.seed,
+            [(m.spin_a, m.spin_b, m.f_ij.hex()) for m in emit_couplings(cluster, table, 3.0)],
+        )).encode())
+    return h.hexdigest()
+
+
+class TestDrawsUnchanged:
+    """The inputs the ensemble and sparse benchmarks draw, pinned bit for bit:
+    a faster draw must pick the same sites in the same order."""
+
+    def test_clustered_draws(self, table26):
+        clusters = [
+            generate_connected_cluster(table26, 22, 3, ClusterStructure("clustered", 4, 5, 7),
+                                       seed=seed, noise=NoiseModel("gaussian", 0.2, 3.0))
+            for seed in range(5)
+        ]
+        assert _draws_digest(table26, clusters) == (
+            "5d51aa4e226712a30ba7b618b94daa08effa5f32af164bd8759a683b68d39ffe"
+        )
+
+    def test_random_draws(self, table30):
+        clusters = [generate_cluster(table30, 24, 0, ClusterStructure("random"), seed=0)]  # W6
+        clusters += [
+            generate_connected_cluster(table30, 16, 0, ClusterStructure("random"), seed=seed)
+            for seed in range(5)
+        ]
+        assert _draws_digest(table30, clusters) == (
+            "40155d761a4b2237c7015c457de0427f18838d38e9438246a0556d052327c4aa"
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=40))
+def test_nearest_is_stable_argsort_prefix(values):
+    # integer-valued distances: most entries tie with another
+    d = np.array(values, dtype=float)
+    order = np.argsort(d, kind="stable")
+    for m in range(d.size + 1):
+        assert synth._nearest(d, m).tolist() == order[:m].tolist()
+
+
+class TestSiteIndex:
+    """Every cluster carries label -> site index, the sites its truth holds."""
+
+    @pytest.mark.parametrize("make", [
+        lambda t: generate_cluster(t, 22, 3, ClusterStructure("clustered", 4, 5, 7), seed=5),
+        lambda t: generate_cluster(t, 8, 2, ClusterStructure("random"), seed=4),
+        lambda t: generate_connected_cluster(t, 10, 1, ClusterStructure("clustered", 2, 5, 6),
+                                             seed=2),
+        lambda t: generate_spread_cluster(t, seed=2),
+    ], ids=["clustered", "random", "connected", "spread"])
+    def test_index_matches_truth(self, table26, make):
+        cluster = make(table26)
+        assert list(cluster.index) == list(cluster.truth)
+        assert cluster.index == {lab: table26.index_of_site(s) for lab, s in cluster.truth.items()}
+        # the truth is derived from the index, so the two cannot disagree
+        with pytest.raises(ValueError):
+            dataclasses.replace(cluster, truth={})
+
+    def test_truth_file_round_trip(self, table26, tmp_path):
+        cluster = generate_connected_cluster(
+            table26, 22, 3, ClusterStructure("clustered", 4, 5, 7), seed=3)
+        fileio.write_truth_json(tmp_path / "truth.json", cluster)
+        back = fileio.read_truth_json(tmp_path / "truth.json", table26)
+        assert back.index == cluster.index
+        assert back.index == {lab: table26.index_of_site(s) for lab, s in back.truth.items()}
+
+    def test_anchor_computed_once_per_table(self, params, monkeypatch):
+        calls = []
+        compute = SiteTable.anchor_index.func
+        counted = functools.cached_property(lambda table: calls.append(table) or compute(table))
+        counted.__set_name__(SiteTable, "anchor_index")
+        monkeypatch.setattr(SiteTable, "anchor_index", counted)
+        lattice = build_lattice(params, 26.0)
+        table = SiteTable(lattice)
+        for seed in range(20):
+            generate_connected_cluster(table, 22, 3, ClusterStructure("clustered", 4, 5, 7),
+                                       seed=seed)
+        assert calls == [table]
+        # cached on the table, not in the module: a second table computes its own
+        other = SiteTable(lattice)
+        assert other.anchor_index == table.anchor_index
+        assert calls == [table, other]
+
+
+def test_synth_maps_no_position_to_a_site():
+    # clusters carry their site indices; only fileio turns a position back into one
+    calls = [
+        (n.lineno, name)
+        for n in ast.walk(ast.parse(Path(synth.__file__).read_text()))
+        if isinstance(n, ast.Call)
+        for name in [getattr(n.func, "attr", None) or getattr(n.func, "id", None)]
+        if name in ("index_of_site", "index_of_position")
+    ]
+    assert not calls, f"synth.py looks sites up by position at {calls}"
+
 
 class TestEmitCouplings:
     def test_noiseless_reproducible_by_dipolar_formula(self, table26):
@@ -154,7 +281,7 @@ class TestConnectedAndSpread:
         cluster = generate_connected_cluster(
             table26, 22, 3, ClusterStructure("clustered", 4, 5, 7), seed=6
         )
-        assert truth_graph_connected(cluster, table26, 3.0)
+        assert truth_graph_connected(cluster.index, table26, 3.0)
 
     def test_spread_cluster_degree_floor(self, table26):
         cluster = generate_spread_cluster(table26, seed=2)
