@@ -177,8 +177,8 @@ def _placement_config(args, physics) -> PlacementConfig:
          inputs=("couplings",), outputs=("out",))
 def cmd_place(args, physics):
     measurements = fileio.read_couplings(args.couplings)
-    table = _site_table(args)
     config = _placement_config(args, physics)
+    table = _site_table(args)
     solutions = place_all(measurements, table, config)
     fileio.write_solutions_json(
         args.out,
@@ -322,11 +322,13 @@ def cmd_synth_couplings(args, physics):
          _flag("--out", default="trace.csv"),
          outputs=("out",))
 def cmd_synth_telegraph(args, physics):
-    rates = tuple(float(x) for x in args.rates.split(","))
-    if len(rates) != 2:
-        raise InputError("--rates expects bright_to_dark,dark_to_bright")
+    try:
+        bright_to_dark, dark_to_bright = (float(x) for x in args.rates.split(","))
+    except ValueError:  # not two numbers
+        raise InputError(f"--rates expects bright_to_dark,dark_to_bright in Hz, "
+                         f"got {args.rates!r}") from None
     trace = emit_telegraph(
-        rates, args.bright_cps, args.dark_cps, not args.no_shot_noise,
+        (bright_to_dark, dark_to_bright), args.bright_cps, args.dark_cps, not args.no_shot_noise,
         args.duration, args.dt, args.seed,
     )
     fileio.write_trace_csv(args.out, trace)

@@ -343,6 +343,8 @@ def ddrf_json(phase_update, effective_rabi, rotation) -> str:
 
 def coupling_graph(measurements, positions=None, cutoff: float = 1.0):
     """Node/edge dict for a spin network; edges below cutoff omitted."""
+    if not math.isfinite(cutoff):
+        raise InputError(f"cutoff must be finite, got {cutoff}")
     labels = sorted({m.spin_a for m in measurements} | {m.spin_b for m in measurements})
     nodes = []
     for lab in labels:

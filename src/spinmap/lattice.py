@@ -255,6 +255,13 @@ class SiteTable:
     def index_of_site(self, site: LatticeSite):
         return self.index_of_position(site.position)
 
+    def image_indices(self, ops, indices):
+        """One row per op: the index of the site at op @ positions[i] for each
+        i of indices, or None where no site is there.  The one site-image
+        lookup behind every symmetry computation."""
+        index, key, pos = self._index, self._pos_key, self.positions
+        return [tuple(index.get(key(op @ pos[i])) for i in indices) for op in ops]
+
     @cached_property
     def radii(self) -> np.ndarray:
         """Distance of each site from the vacancy (angstrom)."""

@@ -66,11 +66,13 @@ class PlacementConfig:
     physics: Physics = DEFAULT_PHYSICS
 
     def __post_init__(self):
-        if self.tolerance_default <= 0:
-            raise InputError("tolerance_default must be > 0")
-        if self.strong_threshold <= 0:
-            raise InputError("strong_threshold must be > 0")
         norm = {tuple(sorted(k)): float(v) for k, v in self.tolerance_overrides.items()}
+        checked = {name: getattr(self, name) for name in
+                   ("tolerance_default", "relative_tolerance_strong", "strong_threshold")}
+        checked.update({f"tolerance override {a}:{b}": v for (a, b), v in norm.items()})
+        for name, value in checked.items():
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be finite and > 0, got {value}")
         object.__setattr__(self, "tolerance_overrides", norm)
 
 
@@ -237,70 +239,50 @@ def candidate_sites(placed, new_label, measurements, table: SiteTable, config: P
     return [table.site(i) for i in idxs]
 
 
-def _table_symmetry_ops(table: SiteTable):
-    """Axial point-group ops (about z through the vacancy) of the site set,
-    found empirically on the sites within 7.5 A, so the result follows the
-    table's stacking and k_variant."""
-    r = np.linalg.norm(table.positions, axis=1)
-    sel = r <= 7.5
-    species, pos = table.species[sel], table.positions[sel]
-    ref = {(sp, *table._pos_key(p)) for sp, p in zip(species, pos)}
+def _axial_ops():
+    """The 12 candidate axial ops about z: rotations by k * 60 deg, then
+    mirrors through the plane at k * 30 deg to x, k = 0..5."""
     ops = []
-    cands = []
-    for k in range(6):
-        t = k * math.pi / 3.0
-        cands.append(np.array([[math.cos(t), -math.sin(t), 0.0],
-                               [math.sin(t), math.cos(t), 0.0],
-                               [0.0, 0.0, 1.0]]))
-    for k in range(6):
-        t = k * math.pi / 6.0
-        cands.append(np.array([[math.cos(2 * t), math.sin(2 * t), 0.0],
-                               [math.sin(2 * t), -math.cos(2 * t), 0.0],
-                               [0.0, 0.0, 1.0]]))
-    for op in cands:
-        mapped = {(sp, *table._pos_key(q)) for sp, q in zip(species, pos @ op.T)}
-        if mapped == ref:
-            ops.append(op)
+    for det in (1.0, -1.0):
+        for k in range(6):
+            t = k * math.pi / 3.0
+            c, s = math.cos(t), math.sin(t)
+            ops.append(np.array([[c, -det * s, 0.0], [s, det * c, 0.0], [0.0, 0.0, 1.0]]))
     return ops
 
 
-def _canonical_rep_indices(table: SiteTable, indices, ops):
-    """Keep one index per orbit under ops, and return each survivor's
-    stabilizer (the ops fixing that site)."""
+def _table_symmetry_ops(table: SiteTable):
+    """Axial point-group ops (about z through the vacancy) of the site set,
+    found empirically on the sites within 7.5 A, so the result follows the
+    table's stacking and k_variant: an op is kept when it maps that ball
+    onto itself, species preserved."""
+    ball = np.flatnonzero(np.linalg.norm(table.positions, axis=1) <= 7.5)
+    members = set(ball.tolist())
+    cands = _axial_ops()
+    return [op for op, row in zip(cands, table.image_indices(cands, ball))
+            if set(row) == members and (table.species[list(row)] == table.species[ball]).all()]
+
+
+def _canonical_rep_indices(table: SiteTable, indices, ops, stab):
+    """Keep one index per orbit under the ops numbered stab, and return each
+    survivor's stabilizer (those of stab fixing that site)."""
     keep = []
     stabs = []
     seen_orbits = set()
-    for i in indices:
-        p = table.positions[i]
-        key = table._pos_key(p)
-        images = []
-        stab = []
-        for oi, op in enumerate(ops):
-            qkey = table._pos_key(op @ p)
-            images.append(qkey)
-            if qkey == key:
-                stab.append(oi)
+    rows = table.image_indices([ops[oi] for oi in stab], indices)
+    for i, images in zip(indices, zip(*rows)):
         orbit = frozenset(images)
         if orbit in seen_orbits:
             continue
         seen_orbits.add(orbit)
         keep.append(i)
-        stabs.append(tuple(stab))
+        stabs.append(tuple(oi for oi, j in zip(stab, images) if j == i))
     return keep, stabs
 
 
 def _orbit_info(table: SiteTable, partial, ops):
     """The images (site-index tuples) of a complete assignment under ops."""
-    images = set()
-    for op in ops:
-        mapped = []
-        for i in partial:
-            j = table.index_of_position(op @ table.positions[i])
-            if j is None:
-                break
-            mapped.append(j)
-        else:
-            images.add(tuple(mapped))
+    images = {row for row in table.image_indices(ops, partial) if None not in row}
     return frozenset(images or {tuple(partial)})
 
 
@@ -352,10 +334,7 @@ def place_all(measurements, table: SiteTable, config: PlacementConfig):
         for partial, stab in zip(partials, stabilizers):
             idxs = _candidate_indices(table, cache, partial, cons, species_name)
             if len(stab) > 1:
-                idxs, child_stabs = _canonical_rep_indices(
-                    table, idxs, [ops[oi] for oi in stab]
-                )
-                child_stabs = [tuple(stab[j] for j in cs) for cs in child_stabs]
+                idxs, child_stabs = _canonical_rep_indices(table, idxs, ops, stab)
             else:
                 child_stabs = [stab] * len(idxs)
             for i, cs in zip(idxs, child_stabs):
@@ -415,18 +394,12 @@ def ambiguity_report(solutions):
 
     Labels with more than one distinct site are ambiguous.
     """
-    if not solutions:
-        return {}
-    sites = {}
+    sites = {}  # label -> {site key: site}
     for sol in solutions:
         for lab, site in sol.assignment.items():
-            sites.setdefault(lab, set()).add(site.key())
-    by_key = {}
-    for sol in solutions:
-        for lab, site in sol.assignment.items():
-            by_key[(lab, site.key())] = site
+            sites.setdefault(lab, {})[site.key()] = site
     return {
-        lab: [by_key[(lab, k)] for k in sorted(keys)]
-        for lab, keys in sorted(sites.items())
-        if len(keys) > 1
+        lab: [by_key[k] for k in sorted(by_key)]
+        for lab, by_key in sorted(sites.items())
+        if len(by_key) > 1
     }

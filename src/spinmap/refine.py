@@ -305,8 +305,10 @@ def refine(initial, measurements, config: RefinementConfig = RefinementConfig())
 
 
 def _levenberg_marquardt(base, x0, terms, signs, param):
-    """Damped least squares with Marquardt scaling and gain-ratio damping
-    updates.  Accepted steps strictly decrease the residual."""
+    """Damped least squares with gain-ratio damping updates.  The damping is
+    lam * I, with no Marquardt scaling by diag(J^T J), so the step turns with
+    a lattice-symmetry op applied to the positions.  Accepted steps strictly
+    decrease the residual."""
     x = x0.copy()
     r, jac = _residual_vector_and_jacobian(param.apply(base, x), terms, signs, param)
     cost = float(r @ r)

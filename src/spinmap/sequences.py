@@ -27,12 +27,19 @@ class SequenceParams:
     phase_increment: float = 0.0  # rad
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN too
             raise InputError("tau must be positive")
         if self.n_pulses < 0 or self.n_pulses % 2 != 0:
             raise InputError("n_pulses must be even and >= 0")
-        if self.omega_rabi <= 0:
+        if not self.omega_rabi > 0:
             raise InputError("omega_rabi must be positive")
+
+
+def _require_finite(**values):
+    """InputError naming the first value that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
 
 
 def wrap_angle(x: float) -> float:
@@ -52,6 +59,7 @@ def sinc(x: float) -> float:
 
 def ddrf_phase_update(omega_0: float, omega_1: float, omega_rf: float, tau: float) -> float:
     """Per-pulse RF phase update pi + (w0 + w1 - 2 w_rf) tau, wrapped."""
+    _require_finite(omega_0=omega_0, omega_1=omega_1, omega_rf=omega_rf, tau=tau)
     detune = TWO_PI * (omega_0 + omega_1 - 2.0 * omega_rf) * tau
     return wrap_angle(math.pi + detune)
 
@@ -72,6 +80,7 @@ def effective_rabi(
 
         Omega [sinc((w1 - w_rf) tau) - sinc((w0 - w_rf) tau)]
     """
+    _require_finite(omega=omega, omega_0=omega_0, omega_1=omega_1, omega_rf=omega_rf, tau=tau)
     if tau <= 0:
         raise InputError("tau must be positive")
     x1 = TWO_PI * (omega_1 - omega_rf) * tau

@@ -186,10 +186,15 @@ def _draw_indices(table, n_si, n_c, structure, seed):
         while sum(sizes) < n_total:
             sizes[i % k] += 1
             i += 1
-        # distribute carbons (at most one per cluster until exhausted)
+        # each carbon goes to a uniformly drawn cluster
         c_in_cluster = [0] * k
         for i in range(n_c):
             c_in_cluster[int(rng.integers(0, k))] += 1
+        for ci, (size, n_c_here) in enumerate(zip(sizes, c_in_cluster)):
+            room = size - 1 if ci == 0 else size  # cluster 0's size counts the Si1 anchor
+            if n_c_here > room:
+                raise InputError(f"cluster {ci} of {size} spins has room for {room} carbons, "
+                                 f"but {n_c_here} were drawn into it")
         seeds = _pick_cluster_seeds(table, rng, anchor_idx, k)
         taken = {anchor_idx}
         pos = table.positions
@@ -201,9 +206,8 @@ def _draw_indices(table, n_si, n_c, structure, seed):
                 n_si_here -= 1  # anchor already counted
             for (idx_all, chosen), n in zip(per_species, (n_si_here, n_c_here)):
                 d = np.linalg.norm(pos[idx_all] - pos[seed_idx], axis=1)
-                # the n nearest free sites lie among the n + len(taken) nearest;
-                # a negative n (more carbons than the cluster holds) never stops
-                for j in _nearest(d, n + len(taken) if n >= 0 else d.size):
+                # the n nearest free sites lie among the n + len(taken) nearest
+                for j in _nearest(d, n + len(taken)):
                     if n == 0:
                         break
                     cand = int(idx_all[j])
@@ -359,8 +363,13 @@ def emit_telegraph(rates, bright_cps: float = 3000.0, dark_cps: float = 600.0,
     from .telegraph import TimeTrace
 
     gamma_bd, gamma_db = rates
-    if gamma_bd <= 0 or gamma_db <= 0:
-        raise InputError("rates must be positive")
+    for name, value in (("bright_to_dark rate", gamma_bd), ("dark_to_bright rate", gamma_db),
+                        ("dt", dt), ("duration", duration)):
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{name} must be finite and positive, got {value}")
+    for name, value in (("bright_cps", bright_cps), ("dark_cps", dark_cps)):
+        if not (math.isfinite(value) and value >= 0):
+            raise InputError(f"{name} must be finite and >= 0, got {value}")
     if dt >= 0.1 / max(gamma_bd, gamma_db):
         raise InputError("dt must be below min(1/rates)/10")
     rng = np.random.default_rng(_seed_tuple(seed) + (0x7E1E,))

@@ -152,6 +152,8 @@ def fit_rates(dwells, method: str = "mle") -> RateEstimate:
 def analyze_trace(trace: TimeTrace, window: int = DEFAULT_WINDOW,
                   threshold: float = DEFAULT_THRESHOLD, method: str = "mle") -> TelegraphResult:
     """Full pipeline: smooth, threshold, dwell times, exponential rates."""
+    if not math.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold}")
     states = smooth_and_threshold(trace, window, threshold)
     bright, dark = dwell_times(states, trace.dt)
     return TelegraphResult(

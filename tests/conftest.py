@@ -52,6 +52,74 @@ def reference_recovery(table, ops, cluster, solutions):
     return canon(cluster.truth) in classes, len(classes)
 
 
+def reference_table_symmetry_ops(table):
+    """placement._table_symmetry_ops as it was on float site keys, the ball
+    rotated in one batched product: the reference for detection through
+    SiteTable.image_indices."""
+    r = np.linalg.norm(table.positions, axis=1)
+    sel = r <= 7.5
+    species, pos = table.species[sel], table.positions[sel]
+    ref = {(sp, *table._pos_key(p)) for sp, p in zip(species, pos)}
+    ops = []
+    cands = []
+    for k in range(6):
+        t = k * math.pi / 3.0
+        cands.append(np.array([[math.cos(t), -math.sin(t), 0.0],
+                               [math.sin(t), math.cos(t), 0.0],
+                               [0.0, 0.0, 1.0]]))
+    for k in range(6):
+        t = k * math.pi / 6.0
+        cands.append(np.array([[math.cos(2 * t), math.sin(2 * t), 0.0],
+                               [math.sin(2 * t), -math.cos(2 * t), 0.0],
+                               [0.0, 0.0, 1.0]]))
+    for op in cands:
+        mapped = {(sp, *table._pos_key(q)) for sp, q in zip(species, pos @ op.T)}
+        if mapped == ref:
+            ops.append(op)
+    return ops
+
+
+def reference_canonical_rep_indices(table, indices, ops):
+    """placement._canonical_rep_indices as it was, each orbit keyed by the
+    float keys of its images: the kept indices, and each one's stabilizer as
+    indices into ops."""
+    keep = []
+    stabs = []
+    seen_orbits = set()
+    for i in indices:
+        p = table.positions[i]
+        key = table._pos_key(p)
+        images = []
+        stab = []
+        for oi, op in enumerate(ops):
+            qkey = table._pos_key(op @ p)
+            images.append(qkey)
+            if qkey == key:
+                stab.append(oi)
+        orbit = frozenset(images)
+        if orbit in seen_orbits:
+            continue
+        seen_orbits.add(orbit)
+        keep.append(i)
+        stabs.append(tuple(stab))
+    return keep, stabs
+
+
+def reference_orbit_info(table, partial, ops):
+    """placement._orbit_info as it was, one index_of_position call per image."""
+    images = set()
+    for op in ops:
+        mapped = []
+        for i in partial:
+            j = table.index_of_position(op @ table.positions[i])
+            if j is None:
+                break
+            mapped.append(j)
+        else:
+            images.add(tuple(mapped))
+    return frozenset(images or {tuple(partial)})
+
+
 def reference_sedor_between(table, i, j, physics):
     """|C_zz|/2 (Hz) between sites i and j, one pair at a time, in scalar
     arithmetic: the values placement.sedor_between must match bit for bit."""

@@ -24,6 +24,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+PLACE_ARGS = ["--couplings", "COUPLINGS", "--out", "OUT"]
+DDRF_ARGS = ["--omega0", "1.60e6", "--omega1", "1.63e6", "--omega-rf", "1.60e6"]
+
+
 class TestExitCodes:
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         rc = run(["place", "--couplings", tmp_path / "nope.csv", "--out", tmp_path / "s.json"])
@@ -114,6 +118,54 @@ class TestExitCodes:
         rc = run(["synth", "telegraph", "--rates", "0.2", "--out", tmp_path / "t.csv"])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["place", *PLACE_ARGS, "--tolerance", "nan"], "tolerance_default",
+                     id="place-tolerance-nan"),
+        pytest.param(["place", *PLACE_ARGS, "--tolerance", "0"], "tolerance_default",
+                     id="place-tolerance-0"),
+        pytest.param(["place", *PLACE_ARGS, "--override", "Si1:Si2=nan"], "override Si1:Si2",
+                     id="place-override-nan"),
+        pytest.param(["place", *PLACE_ARGS, "--override", "Si2:Si1=-3"], "override Si1:Si2",
+                     id="place-override-negative"),
+        pytest.param(["place", *PLACE_ARGS, "--relative-tolerance", "-1"],
+                     "relative_tolerance_strong", id="place-relative-tolerance"),
+        pytest.param(["place", *PLACE_ARGS, "--strong-threshold", "nan"], "strong_threshold",
+                     id="place-strong-threshold-nan"),
+        pytest.param(["place", *PLACE_ARGS, "--strong-threshold", "inf"], "strong_threshold",
+                     id="place-strong-threshold-inf"),
+        pytest.param(["synth", "telegraph", "--rates", "a,b", "--out", "OUT"], "--rates",
+                     id="synth-telegraph-rates-text"),
+        pytest.param(["synth", "telegraph", "--rates", "0.1,nan", "--out", "OUT"],
+                     "dark_to_bright rate", id="synth-telegraph-rates-nan"),
+        pytest.param(["synth", "telegraph", "--dt", "nan", "--out", "OUT"], "dt",
+                     id="synth-telegraph-dt"),
+        pytest.param(["synth", "telegraph", "--duration", "nan", "--out", "OUT"], "duration",
+                     id="synth-telegraph-duration-nan"),
+        pytest.param(["synth", "telegraph", "--duration", "-5", "--out", "OUT"], "duration",
+                     id="synth-telegraph-duration-negative"),
+        pytest.param(["synth", "telegraph", "--bright-cps", "nan", "--out", "OUT"], "bright_cps",
+                     id="synth-telegraph-bright-cps-nan"),
+        pytest.param(["synth", "telegraph", "--dark-cps", "-5", "--out", "OUT"], "dark_cps",
+                     id="synth-telegraph-dark-cps-negative"),
+        pytest.param(["ddrf-calc", *DDRF_ARGS, "--tau", "nan"], "tau", id="ddrf-tau"),
+        pytest.param(["ddrf-calc", *DDRF_ARGS, "--tau", "20e-6", "--rabi", "inf"], "omega",
+                     id="ddrf-rabi"),
+        pytest.param(["ddrf-calc", "--omega0", "nan", "--omega1", "1.63e6", "--omega-rf",
+                      "1.60e6", "--tau", "20e-6", "--json"], "omega_0", id="ddrf-json-omega0"),
+        pytest.param(["telegraph", "--trace", "TRACE", "--threshold", "nan", "--out", "OUT"],
+                     "threshold", id="telegraph-threshold"),
+        pytest.param(["export-graph", "--couplings", "COUPLINGS", "--cutoff", "nan",
+                      "--out", "OUT"], "cutoff", id="export-graph-cutoff"),
+    ])
+    def test_bad_value_is_input_error(self, tmp_path, capsys, cli_inputs, argv, named):
+        argv, _ = _resolve(argv, cli_inputs, tmp_path)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "input" and named in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_nan_sigma_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinmap
-from conftest import drawn_lattices, reference_recovery, reference_sedor_between
+from conftest import (
+    drawn_lattices,
+    reference_canonical_rep_indices,
+    reference_orbit_info,
+    reference_recovery,
+    reference_sedor_between,
+    reference_table_symmetry_ops,
+)
 from spinmap.errors import (
     CapacityError,
     ConnectivityError,
@@ -26,6 +33,9 @@ from spinmap.placement import (
     tolerance_for_pair,
     truth_recovery,
     _FrequencyCache,
+    _axial_ops,
+    _canonical_rep_indices,
+    _orbit_info,
     _table_symmetry_ops,
 )
 from spinmap.constants import GAMMA_C13, GAMMA_SI29
@@ -568,19 +578,94 @@ class TestAmbiguity:
         assert ambiguity_report(sols) == {}
 
 
+class TestOneSiteImageLookup:
+    """Detection, candidate reduction and the orbit pass, all through
+    SiteTable.image_indices, against the float-key versions they replaced
+    (conftest's references).  Reduction and orbits look each image up per
+    element as the references did, so they must agree exactly.  Detection
+    rotated the ball in one batched product, whose last bits differ from
+    the per-element op @ p; an op may then be kept by one and not the other
+    only where the two products round to different 5-decimal keys."""
+
+    @staticmethod
+    def rounds_apart(table, op):
+        ball = table.positions[np.linalg.norm(table.positions, axis=1) <= 7.5]
+        return any(table._pos_key(q) != table._pos_key(op @ p) for p, q in zip(ball, ball @ op.T))
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_lattices(), st.floats(6.0, 12.0), st.integers(0, 2**32 - 1))
+    @example(LatticeParams(a=3.07301), 9.0, 0)  # the 5-decimal tie of TestSymmetry
+    @example(LatticeParams(k_variant=1), 12.0, 1)
+    def test_same_as_float_keys(self, params, radius, seed):
+        table = SiteTable(build_lattice(params, radius))
+        ops = _table_symmetry_ops(table)
+        kept = {op.tobytes() for op in ops}
+        ref_kept = {op.tobytes() for op in reference_table_symmetry_ops(table)}
+        cands = _axial_ops()
+        assert [op.tobytes() for op in ops] == [c.tobytes() for c in cands if c.tobytes() in kept]
+        for c in cands:
+            if (c.tobytes() in kept) != (c.tobytes() in ref_kept):
+                assert self.rounds_apart(table, c)
+
+        rng = np.random.default_rng(seed)
+        indices = np.sort(rng.choice(len(table), size=min(60, len(table)), replace=False))
+        for _ in range(3 if len(ops) > 1 else 0):
+            size = int(rng.integers(2, len(ops) + 1))
+            stab = tuple(sorted(int(oi) for oi in rng.choice(len(ops), size, replace=False)))
+            keep, stabs = _canonical_rep_indices(table, indices, ops, stab)
+            ref_keep, ref_stabs = reference_canonical_rep_indices(
+                table, indices, [ops[oi] for oi in stab])
+            assert keep == ref_keep
+            assert stabs == [tuple(stab[j] for j in cs) for cs in ref_stabs]
+
+        # all 12 candidates too: those that are not symmetries map sites off the table
+        for op_set in (ops, cands):
+            for _ in range(5):
+                partial = tuple(int(i) for i in rng.choice(len(table), size=6, replace=False))
+                assert _orbit_info(table, partial, op_set) == reference_orbit_info(
+                    table, partial, op_set)
+
+    def test_op_must_preserve_species(self, params):
+        # one off-axis site relabelled: only the ops fixing it still map the
+        # species onto themselves, though every op still maps positions to positions
+        lattice = build_lattice(params, 8.0)
+        i = int(np.flatnonzero(np.hypot(lattice.positions[:, 0], lattice.positions[:, 1]) > 1.0)[0])
+        species = lattice.species.copy()
+        species[i] = "C" if species[i] == "Si" else "Si"
+        table = SiteTable(dataclasses.replace(lattice, species=species))
+        ops = _table_symmetry_ops(table)
+        assert [op.tobytes() for op in ops] == [
+            op.tobytes() for op in reference_table_symmetry_ops(table)]
+        assert len(ops) == 2
+        assert all(row == (i,) for row in table.image_indices(ops, [i]))
+
+
+def _names_used(path, names):
+    """(line, name) of every identifier, attribute or definition in the
+    module at path whose name is in names."""
+    return [
+        (n.lineno, name)
+        for n in ast.walk(ast.parse(path.read_text()))
+        for name in [getattr(n, "id", None) or getattr(n, "attr", None)
+                     or getattr(n, "name", None)]
+        if name in names
+    ]
+
+
 SYMMETRY_INTERNALS = {"_table_symmetry_ops", "_orbit_info", "canonical_assignment"}
 
 
 def test_only_placement_uses_symmetry_internals():
     # one symmetry implementation: other modules read the orbits the solutions carry
     for path in sorted(Path(spinmap.__file__).parent.glob("*.py")):
-        if path.name == "placement.py":
-            continue
-        uses = [
-            (n.lineno, name)
-            for n in ast.walk(ast.parse(path.read_text()))
-            for name in [getattr(n, "id", None) or getattr(n, "attr", None)
-                         or getattr(n, "name", None)]
-            if name in SYMMETRY_INTERNALS
-        ]
-        assert not uses, f"{path.name}: symmetry internals used at {uses}"
+        if path.name != "placement.py":
+            uses = _names_used(path, SYMMETRY_INTERNALS)
+            assert not uses, f"{path.name}: symmetry internals used at {uses}"
+
+
+def test_float_site_keys_stay_in_lattice():
+    # every other module finds sites through SiteTable's lookups
+    for path in sorted(Path(spinmap.__file__).parent.glob("*.py")):
+        if path.name != "lattice.py":
+            uses = _names_used(path, {"_pos_key", "_index"})
+            assert not uses, f"{path.name}: float site keys used at {uses}"

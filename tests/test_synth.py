@@ -106,6 +106,20 @@ class TestGenerateCluster:
         with pytest.raises(InputError):
             generate_cluster(table26, 22, 3, ClusterStructure("clustered", 4, 7, 7), seed=0)
 
+    @pytest.mark.parametrize("n_si, n_c, layout, seed, message", [
+        (16, 6, (4, 5, 7), 197, "cluster 3 of 5 spins has room for 5 carbons, but 6 were"),
+        (5, 4, (3, 3, 3), 2, "cluster 0 of 3 spins has room for 2 carbons, but 3 were"),
+    ])
+    def test_cluster_overfilled_with_carbons_named(self, table26, n_si, n_c, layout, seed,
+                                                    message):
+        with pytest.raises(InputError, match=message):
+            generate_cluster(table26, n_si, n_c, ClusterStructure("clustered", *layout), seed=seed)
+
+    def test_anchor_cluster_full_of_carbons_drawn(self, table26):
+        # cluster 0's 3 spins are the Si1 anchor and two carbons
+        cluster = generate_cluster(table26, 5, 4, ClusterStructure("clustered", 3, 3, 3), seed=8)
+        assert sorted(lab for lab, c in cluster.cluster_of.items() if c == 0) == ["C1", "C2", "Si1"]
+
     def test_random_structure(self, table26):
         cluster = generate_cluster(table26, 8, 2, ClusterStructure("random"), seed=4)
         assert len(cluster.truth) == 10
