@@ -34,7 +34,6 @@ from .placement import (
     PlacementConfig,
     PlacementSolution,
     ambiguity_report,
-    candidate_sites,
     order_heuristic,
     place_all,
     tolerance_for_pair,
@@ -66,7 +65,6 @@ from .spinphys import (
     invert_hyperfine,
     nuclear_frequency_perturbative,
     nuclear_transition_frequency,
-    sedor_frequency_from_coupling,
     transverse_field_from_misalignment,
 )
 from .synth import (

@@ -182,61 +182,31 @@ def _site_species(lattice_species: str, physics: Physics):
     return physics.si29 if lattice_species == "Si" else physics.c13
 
 
-def _constraints_for(new_label, placed_labels, measurements, config):
-    """[(index into placed order, f_ij, tol)] for measurements linking
-    new_label into the placed set (couplings below min_detectable ignored)."""
-    pos_of = {lab: i for i, lab in enumerate(placed_labels)}
-    cons = []
-    for m in measurements:
-        if m.f_ij < config.min_detectable:
-            continue
-        if m.spin_a == new_label and m.spin_b in pos_of:
-            other = m.spin_b
-        elif m.spin_b == new_label and m.spin_a in pos_of:
-            other = m.spin_a
-        else:
-            continue
-        cons.append((pos_of[other], m.f_ij, tolerance_for_pair(m.pair, m.f_ij, config)))
-    return cons
+def _step_windows(order, used, config):
+    """Per placement step, the windows (partner step, f_ij, half-width) of the
+    used measurements linking that step's label to an earlier one, in
+    measurement order."""
+    step_of = {lab: k for k, lab in enumerate(order)}
+    windows = [[] for _ in order]
+    for m in used:
+        a, b = step_of[m.spin_a], step_of[m.spin_b]
+        windows[max(a, b)].append((min(a, b), m.f_ij, tolerance_for_pair(m.pair, m.f_ij, config)))
+    return windows
 
 
-def _candidate_indices(table, cache, partial, cons, species_name):
-    """Site indices (into table) admissible for the new spin given one partial."""
+def _candidate_indices(table, cache, partial, windows, species_name):
+    """Site indices (into table) admissible for the new spin given one partial
+    and its step's windows."""
     target_idx = table.by_species["Si" if species_name == "Si29" else "C"]
     mask = np.ones(target_idx.size, dtype=bool)
-    for placed_pos, f_ij, tol in cons:
-        f_vec = cache.sedor(partial[placed_pos], species_name)
-        mask &= np.abs(f_vec - f_ij) <= tol
+    for step, centre, half in windows:
+        f_vec = cache.sedor(partial[step], species_name)
+        mask &= np.abs(f_vec - centre) <= half
         if not mask.any():
             return target_idx[:0]
     allowed = target_idx[mask]
     occupied = set(partial)
     return np.array([i for i in allowed if i not in occupied], dtype=int)
-
-
-def candidate_sites(placed, new_label, measurements, table: SiteTable, config: PlacementConfig):
-    """Admissible sites for new_label given already-placed spins.
-
-    placed: mapping label -> LatticeSite.
-    """
-    placed_labels = list(placed.keys())
-    partial = []
-    for lab in placed_labels:
-        idx = table.index_of_site(placed[lab])
-        if idx is None:
-            raise InputError(f"placed site for {lab!r} is not in the lattice")
-        partial.append(idx)
-    cons = _constraints_for(new_label, placed_labels, measurements, config)
-    if not cons:
-        raise ConnectivityError(
-            f"{new_label!r} has no measured coupling above "
-            f"{config.min_detectable} Hz to any placed spin"
-        )
-    species_name = species_for_label(new_label).name
-    idxs = _candidate_indices(
-        table, _FrequencyCache(table, config.physics), tuple(partial), cons, species_name
-    )
-    return [table.site(i) for i in idxs]
 
 
 def _axial_ops():
@@ -321,18 +291,14 @@ def place_all(measurements, table: SiteTable, config: PlacementConfig):
     partials = [(table.anchor_index,)]
     stabilizers = [tuple(range(len(ops)))]
     history = [1]
+    # order_heuristic gives every step from 1 on a window into earlier steps
+    windows = _step_windows(order, used, config)
     for k, label in enumerate(order[1:], start=1):
-        placed_labels = order[:k]
-        cons = _constraints_for(label, placed_labels, used, config)
-        if not cons:
-            raise ConnectivityError(
-                f"{label!r} (step {k}) has no coupling into the placed set"
-            )
         species_name = species_for_label(label).name
         new_partials = []
         new_stabs = []
         for partial, stab in zip(partials, stabilizers):
-            idxs = _candidate_indices(table, cache, partial, cons, species_name)
+            idxs = _candidate_indices(table, cache, partial, windows[k], species_name)
             if len(stab) > 1:
                 idxs, child_stabs = _canonical_rep_indices(table, idxs, ops, stab)
             else:

@@ -43,7 +43,9 @@ def _require_finite(**values):
 
 
 def wrap_angle(x: float) -> float:
-    """Reduce an angle to (-pi, pi]; idempotent."""
+    """Reduce an angle to (-pi, pi]; idempotent.  An angle that is not finite
+    (finite inputs can overflow a phase) is an InputError."""
+    _require_finite(phase=x)
     w = math.fmod(x + math.pi, TWO_PI)
     if w <= 0.0:
         w += TWO_PI
@@ -52,6 +54,7 @@ def wrap_angle(x: float) -> float:
 
 def sinc(x: float) -> float:
     """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
+    _require_finite(phase=x)
     if abs(x) < 1e-12:
         return 1.0
     return math.sin(x) / x
@@ -69,6 +72,7 @@ def ddrf_resonance_condition(
 ) -> float:
     """Wrapped mismatch between a phase increment and the resonant value;
     zero exactly on resonance."""
+    _require_finite(delta=delta, omega_0=omega_0, omega_1=omega_1, omega_rf=omega_rf, tau=tau)
     resonant = TWO_PI * (omega_0 + omega_1 - 2.0 * omega_rf) * tau
     return wrap_angle(delta - resonant)
 

@@ -66,10 +66,6 @@ class Physics:
 DEFAULT_PHYSICS = Physics()
 
 
-def electron_species(g_factor: float = constants.G_ELECTRON_DEFAULT) -> SpinSpecies:
-    return SpinSpecies("electron", constants.electron_gamma(g_factor), 1.5)
-
-
 def species_for_label(label: str, physics: Physics = DEFAULT_PHYSICS) -> SpinSpecies:
     """Map a spin label like 'Si12' or 'C1' to its nuclear species."""
     if label.startswith("Si"):
@@ -153,11 +149,6 @@ def dipolar_tensor(pos_i, pos_j, species_i: SpinSpecies, species_j: SpinSpecies)
     d, r = _separation(pos_i, pos_j)
     n = d / r
     return dipolar_alpha(species_i, species_j) / r**3 * (3.0 * np.outer(n, n) - np.eye(3))
-
-
-def sedor_frequency_from_coupling(c_zz: float) -> float:
-    """SEDOR oscillation frequency |C_zz|/2."""
-    return 0.5 * abs(c_zz)
 
 
 def nuclear_transition_frequency(

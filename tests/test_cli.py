@@ -153,6 +153,8 @@ class TestExitCodes:
                      id="ddrf-rabi"),
         pytest.param(["ddrf-calc", "--omega0", "nan", "--omega1", "1.63e6", "--omega-rf",
                       "1.60e6", "--tau", "20e-6", "--json"], "omega_0", id="ddrf-json-omega0"),
+        pytest.param(["ddrf-calc", "--omega0", "1e308", "--omega1", "1e308", "--omega-rf", "0",
+                      "--tau", "1"], "phase", id="ddrf-phase-overflow"),
         pytest.param(["telegraph", "--trace", "TRACE", "--threshold", "nan", "--out", "OUT"],
                      "threshold", id="telegraph-threshold"),
         pytest.param(["export-graph", "--couplings", "COUPLINGS", "--cutoff", "nan",

@@ -26,7 +26,6 @@ from spinmap.placement import (
     CouplingMeasurement,
     PlacementConfig,
     ambiguity_report,
-    candidate_sites,
     order_heuristic,
     place_all,
     sedor_between,
@@ -35,7 +34,9 @@ from spinmap.placement import (
     _FrequencyCache,
     _axial_ops,
     _canonical_rep_indices,
+    _candidate_indices,
     _orbit_info,
+    _step_windows,
     _table_symmetry_ops,
 )
 from spinmap.constants import GAMMA_C13, GAMMA_SI29
@@ -49,6 +50,7 @@ from spinmap.spinphys import (
     Physics,
     dipolar_alpha,
     dipolar_coupling,
+    species_for_label,
 )
 from spinmap.synth import ClusterStructure, NoiseModel, emit_couplings, generate_connected_cluster
 
@@ -194,29 +196,27 @@ class TestOrderHeuristic:
             order_heuristic([CouplingMeasurement("Si2", "Si3", 5.0, 0.2)])
 
 
-class TestCandidateSites:
-    def test_true_site_is_candidate(self, params, table26):
-        cluster, meas = paper_like(table26, seed=1)
-        anchor = cluster.truth["Si1"]
-        target = next(
-            m for m in meas if "Si1" in (m.spin_a, m.spin_b) and m.f_ij >= 3.0
-        )
-        other = target.spin_b if target.spin_a == "Si1" else target.spin_a
-        cands = candidate_sites({"Si1": anchor}, other, meas, table26, PlacementConfig())
-        keys = {c.key() for c in cands}
-        assert cluster.truth[other].key() in keys
+def candidates(table, partial, order, measurements, config):
+    """Site indices admissible for order[-1] with order[:-1] placed at the
+    sites of partial: the last step's windows through the mask kernel."""
+    used = [m for m in measurements
+            if m.f_ij >= config.min_detectable and {m.spin_a, m.spin_b} <= set(order)]
+    windows = _step_windows(order, used, config)[-1]
+    return _candidate_indices(table, _FrequencyCache(table, config.physics), tuple(partial),
+                              windows, species_for_label(order[-1]).name).tolist()
 
+
+class TestCandidateSites:
     def test_shrinks_with_tolerance_but_keeps_truth(self, table26):
         cluster, meas = paper_like(table26, seed=1)
-        anchor = cluster.truth["Si1"]
         target = next(m for m in meas if "Si1" in (m.spin_a, m.spin_b))
         other = target.spin_b if target.spin_a == "Si1" else target.spin_a
         sizes = []
         for tol in (2.0, 0.6, 0.05, 1e-6):
             cfg = PlacementConfig(tolerance_default=tol)
-            cands = candidate_sites({"Si1": anchor}, other, meas, table26, cfg)
+            cands = candidates(table26, [cluster.index["Si1"]], ["Si1", other], meas, cfg)
             sizes.append(len(cands))
-            assert cluster.truth[other].key() in {c.key() for c in cands}
+            assert cluster.index[other] in cands
         assert sizes == sorted(sizes, reverse=True)
 
     def test_split_spin_scenario_yields_empty(self, table26):
@@ -225,17 +225,15 @@ class TestCandidateSites:
         # reference, impossible when the references are > 22 A apart
         pos = table26.positions
         si_idx = table26.by_species["Si"]
-        far = None
         p9 = si_idx[int(np.argmax(pos[si_idx][:, 0]))]
         d = np.linalg.norm(pos[si_idx] - pos[p9], axis=1)
         p12 = si_idx[int(np.argmax(d))]
         assert np.linalg.norm(pos[p9] - pos[p12]) > 21.5
-        placed = {"Si9": table26.site(p9), "Si12": table26.site(p12)}
         meas = [
             CouplingMeasurement("Si8", "Si9", 4.31, 0.2),
             CouplingMeasurement("Si8", "Si12", 4.87, 0.2),
         ]
-        cands = candidate_sites(placed, "Si8", meas, table26, PlacementConfig())
+        cands = candidates(table26, [p9, p12], ["Si9", "Si12", "Si8"], meas, PlacementConfig())
         assert cands == []
         # brute-force oracle agrees that no site satisfies both couplings
         for i in si_idx:
@@ -245,11 +243,32 @@ class TestCandidateSites:
             f12 = oracle_sedor(pos[i], "Si", pos[p12], "Si")
             assert not (abs(f9 - 4.31) <= 0.6 and abs(f12 - 4.87) <= 0.6)
 
-    def test_connectivity_error(self, table26):
-        placed = {"Si1": table26.site(0)}
-        meas = [CouplingMeasurement("Si5", "Si6", 8.0, 0.2)]
-        with pytest.raises(ConnectivityError):
-            candidate_sites(placed, "Si5", meas, table26, PlacementConfig())
+
+class TestStepWindows:
+    CFG = PlacementConfig(tolerance_overrides={("Si1", "Si2"): 3.0})
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_windows_are_the_used_measurements(self, table26, seed):
+        _, meas = paper_like(table26, seed=seed, noise=NoiseModel("gaussian", 0.2, 3.0))
+        used = [m for m in meas if m.f_ij >= self.CFG.min_detectable]
+        order = order_heuristic(used)
+        windows = _step_windows(order, used, self.CFG)
+        assert len(windows) == len(order) and windows[0] == []
+        # every later step has a window into the placed set, which is what
+        # lets place_all go without a connectivity check of its own
+        assert all(windows[k] for k in range(1, len(order)))
+        flat = [(k, *w) for k, ws in enumerate(windows) for w in ws]
+        assert all(partner < k for k, partner, _, _ in flat)
+        step_of = {lab: k for k, lab in enumerate(order)}
+        expected = sorted(
+            (max(step_of[m.spin_a], step_of[m.spin_b]), i,
+             min(step_of[m.spin_a], step_of[m.spin_b]), m.f_ij,
+             tolerance_for_pair(m.pair, m.f_ij, self.CFG))
+            for i, m in enumerate(used))
+        # in measurement order within each step
+        assert flat == [(k, partner, f, tol) for k, _, partner, f, tol in expected]
+        si1, si2 = sorted((step_of["Si1"], step_of["Si2"]))
+        assert [tol for k, partner, _, tol in flat if (partner, k) == (si1, si2)] == [3.0]
 
 
 class TestPlaceAll:
@@ -669,3 +688,19 @@ def test_float_site_keys_stay_in_lattice():
         if path.name != "lattice.py":
             uses = _names_used(path, {"_pos_key", "_index"})
             assert not uses, f"{path.name}: float site keys used at {uses}"
+
+
+def test_one_candidate_kernel():
+    # constraints are data: every frequency-row lookup of the search sits in
+    # the one mask kernel, so a new kind of constraint is a new window, not
+    # a new path through the frontier loop
+    inside, outside = [], []
+    for path in sorted(Path(spinmap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        kernel = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_candidate_indices"
+                  for n in ast.walk(f)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "sedor":
+                (inside if id(n) in kernel else outside).append((path.name, n.lineno))
+    assert len(inside) == 1 and not outside, f"sedor calls outside the kernel: {outside}"

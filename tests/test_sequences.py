@@ -121,6 +121,27 @@ class TestEffectiveRabi:
             effective_rabi(500.0, 1.6e6, 1.7e6, 1.6e6, 0.0)
 
 
+class TestNonFinite:
+    # a non-finite input, or finite inputs whose phase overflows, is an InputError
+    @pytest.mark.parametrize("call, named", [
+        pytest.param(lambda: ddrf_phase_update(1e308, 1e308, 0.0, 1.0), "phase",
+                     id="phase-update-overflow"),
+        pytest.param(lambda: ddrf_phase_update(1e308, 1e308, 1e308, 1.0), "phase",
+                     id="phase-update-inf-minus-inf"),
+        pytest.param(lambda: effective_rabi(1.0, 0.0, 1e308, -1e308, 1.0), "phase",
+                     id="rabi-overflow"),
+        pytest.param(lambda: ddrf_resonance_condition(math.nan, 1.0, 1.0, 1.0, 1.0), "delta",
+                     id="resonance-nan"),
+        pytest.param(lambda: ddrf_resonance_condition(0.0, 1.0, 1.0, 1.0, math.inf), "tau",
+                     id="resonance-inf"),
+        pytest.param(lambda: ddrf_resonance_condition(0.0, 1e308, 1e308, 0.0, 1.0), "phase",
+                     id="resonance-overflow"),
+    ])
+    def test_input_error_names_the_value(self, call, named):
+        with pytest.raises(InputError, match=f"^{named} must be finite"):
+            call()
+
+
 class TestRotationAngle:
     PARAMS = dict(omega_rf=1.6e6, omega_0=1.6e6, omega_1=1.63e6)
 

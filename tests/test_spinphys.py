@@ -16,11 +16,9 @@ from spinmap.spinphys import (
     dipolar_alpha,
     dipolar_coupling,
     dipolar_tensor,
-    electron_species,
     invert_hyperfine,
     nuclear_frequency_perturbative,
     nuclear_transition_frequency,
-    sedor_frequency_from_coupling,
     species_for_label,
     transverse_field_from_misalignment,
 )
@@ -35,9 +33,9 @@ class TestSpecies:
     def test_gyromagnetic_signs(self):
         assert SI29.gyromagnetic_ratio < 0
         assert C13.gyromagnetic_ratio > 0
-        e = electron_species()
-        assert e.gyromagnetic_ratio < 0
-        assert abs(e.gyromagnetic_ratio) > 1000 * abs(C13.gyromagnetic_ratio)
+        ge = FieldConfig(b_z=1960.9).electron_gamma  # the electron of the Hamiltonian
+        assert ge < 0
+        assert abs(ge) > 1000 * abs(C13.gyromagnetic_ratio)
 
     def test_species_for_label(self):
         assert species_for_label("Si12") is SI29
@@ -136,20 +134,6 @@ class TestDipolarCoupling:
             assert t[2, 2] == pytest.approx(dipolar_coupling(p1, p2, SI29, C13), rel=1e-12)
             assert np.allclose(t, t.T)
             assert abs(np.trace(t)) < 1e-9 * abs(t).max()
-
-
-class TestSedorFrequency:
-    def test_zero(self):
-        assert sedor_frequency_from_coupling(0.0) == 0.0
-
-    def test_reported_strong_pair_magnitude(self):
-        # the C1-Si10 pair was measured twice: 185.61 Hz and 186.3 Hz; both
-        # map to |C_zz|/2 and are carried as fixtures
-        assert sedor_frequency_from_coupling(-371.22) == pytest.approx(185.61)
-        assert sedor_frequency_from_coupling(372.6) == pytest.approx(186.3)
-
-    def test_linearity(self):
-        assert sedor_frequency_from_coupling(7.0) == 3.5
 
 
 class TestNuclearTransitionFrequency:
