@@ -357,14 +357,14 @@ def cmd_reproduce(args, physics):
     """synth -> place -> refine -> report, with recovery assertion.
 
     Declares no outputs: it writes its own workdir-relative manifest."""
-    workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     table = _site_table(args)
     structure = ClusterStructure("clustered", 4, 5, 7)
     cluster = generate_connected_cluster(
         table, 22, 3, structure, seed=args.seed, noise=NoiseModel("gaussian", 0.2, 3.0),
         physics=physics,
     )
+    workdir = Path(args.workdir)  # made after the draw: a bad seed leaves no directory
+    workdir.mkdir(parents=True, exist_ok=True)
     truth_path = workdir / "truth.json"
     fileio.write_truth_json(truth_path, cluster, cluster_of=False)
     measurements = emit_couplings(cluster, table, 3.0, physics=physics)

@@ -15,6 +15,7 @@ sites) and reported with their symmetry orbit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,13 @@ class CouplingMeasurement:
         return tuple(sorted((self.spin_a, self.spin_b)))
 
 
+def check_min_detectable(value):
+    """Raise InputError unless value is a coupling floor (Hz) >= 0; +inf, which
+    no coupling reaches, is allowed, NaN is not."""
+    if not value >= 0:
+        raise InputError(f"min_detectable must be >= 0 and not NaN, got {value}")
+
+
 @dataclass(frozen=True)
 class PlacementConfig:
     tolerance_default: float = 0.6
@@ -73,6 +81,9 @@ class PlacementConfig:
         for name, value in checked.items():
             if not (math.isfinite(value) and value > 0):
                 raise InputError(f"{name} must be finite and > 0, got {value}")
+        check_min_detectable(self.min_detectable)
+        if not (isinstance(self.max_branches, numbers.Integral) and self.max_branches >= 1):
+            raise InputError(f"max_branches must be an integer >= 1, got {self.max_branches}")
         object.__setattr__(self, "tolerance_overrides", norm)
 
 

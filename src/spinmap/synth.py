@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .lattice import SiteTable
-from .placement import CouplingMeasurement, sedor_between
+from .placement import CouplingMeasurement, check_min_detectable, sedor_between
 from .spinphys import DEFAULT_PHYSICS, Physics
 
 MAX_TRIES = 40  # deterministic redraws of a cluster before giving up
@@ -84,12 +84,14 @@ class ClusterStructure:
 
 
 def _seed_tuple(seed):
-    """Flatten a seed (int or nested ints) for numpy's Generator."""
+    """Flatten a seed (int or nested ints >= 0) for numpy's Generator."""
     if isinstance(seed, (tuple, list)):
         out = []
         for s in seed:
             out.extend(_seed_tuple(s))
         return tuple(out)
+    if int(seed) < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     return (int(seed),)
 
 
@@ -135,6 +137,15 @@ def _pick_cluster_seeds(table, rng, anchor_idx, n_clusters):
     return seeds
 
 
+def _distance_row(positions, i):
+    """Distance (A) from site i to every site: np.linalg.norm(positions -
+    positions[i], axis=1) bit for bit, the squares summed in x, y, z order,
+    without gathering the (n, 3) difference array."""
+    x, y, z = positions.T
+    dx, dy, dz = x - x[i], y - y[i], z - z[i]
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def _nearest(d, m):
     """Indices of the m smallest entries of d in np.argsort(d, kind="stable")
     order, ties included; only the entries at or below the m-th smallest are
@@ -150,6 +161,8 @@ def _draw_indices(table, n_si, n_c, structure, seed):
     """(label -> site index, label -> cluster id) of generate_cluster's draw."""
     if n_si < 1:
         raise InputError("need at least the Si1 anchor (n_si >= 1)")
+    if n_c < 0:
+        raise InputError(f"carbon count must be >= 0, got n_c = {n_c}")
     rng = np.random.default_rng(_seed_tuple(seed))
     anchor_idx = table.anchor_index
     n_total = n_si + n_c
@@ -204,8 +217,9 @@ def _draw_indices(table, n_si, n_c, structure, seed):
             n_si_here = size - n_c_here
             if ci == 0:
                 n_si_here -= 1  # anchor already counted
+            d_all = _distance_row(pos, seed_idx)
             for (idx_all, chosen), n in zip(per_species, (n_si_here, n_c_here)):
-                d = np.linalg.norm(pos[idx_all] - pos[seed_idx], axis=1)
+                d = d_all[idx_all]
                 # the n nearest free sites lie among the n + len(taken) nearest
                 for j in _nearest(d, n + len(taken)):
                     if n == 0:
@@ -310,6 +324,7 @@ def emit_couplings(cluster: SyntheticCluster, table: SiteTable, min_detectable: 
                    physics: Physics = DEFAULT_PHYSICS):
     """Noisy SEDOR table for all pairs whose measured frequency is at or
     above min_detectable.  Format-identical to the placement input."""
+    check_min_detectable(min_detectable)
     noise = cluster.noise_model if noise is None else noise
     seed = cluster.seed if seed is None else seed
     rng = np.random.default_rng(_seed_tuple(seed) + (0xC0FFEE,))
@@ -326,6 +341,7 @@ def truth_graph_connected(index, table: SiteTable, min_detectable: float = 3.0,
                           physics: Physics = DEFAULT_PHYSICS) -> bool:
     """True when the noiseless coupling graph of a cluster's label -> site
     index connects every spin to Si1."""
+    check_min_detectable(min_detectable)
     labels, a, b, f = _truth_pair_sedor(index, table, physics)
     a, b = a[f >= min_detectable], b[f >= min_detectable]
     seen = np.array([lab == "Si1" for lab in labels])

@@ -159,6 +159,26 @@ class TestExitCodes:
                      "threshold", id="telegraph-threshold"),
         pytest.param(["export-graph", "--couplings", "COUPLINGS", "--cutoff", "nan",
                       "--out", "OUT"], "cutoff", id="export-graph-cutoff"),
+        pytest.param(["synth", "cluster", "--seed", "-1", "--out", "OUT"], "seed",
+                     id="synth-cluster-seed"),
+        pytest.param(["synth", "couplings", "--truth", "TRUTH", "--seed", "-1", "--out", "OUT"],
+                     "seed", id="synth-couplings-seed"),
+        pytest.param(["synth", "telegraph", "--seed", "-3", "--out", "OUT"], "seed",
+                     id="synth-telegraph-seed"),
+        pytest.param(["reproduce", "--seed", "-1", "--workdir", "OUT"], "seed",
+                     id="reproduce-seed"),
+        pytest.param(["synth", "cluster", "--n-c", "-1", "--out", "OUT"], "carbon count",
+                     id="synth-cluster-n-c"),
+        pytest.param(["synth", "cluster", "--min-detectable", "nan", "--out", "OUT"],
+                     "min_detectable must", id="synth-cluster-min-detectable"),
+        pytest.param(["synth", "couplings", "--truth", "TRUTH", "--min-detectable", "nan",
+                      "--out", "OUT"], "min_detectable must", id="synth-couplings-min-detectable"),
+        pytest.param(["place", *PLACE_ARGS, "--min-detectable", "nan"], "min_detectable must",
+                     id="place-min-detectable-nan"),
+        pytest.param(["place", *PLACE_ARGS, "--min-detectable", "-1"], "min_detectable must",
+                     id="place-min-detectable-negative"),
+        pytest.param(["place", *PLACE_ARGS, "--max-branches", "-5"], "max_branches",
+                     id="place-max-branches"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, cli_inputs, argv, named):
         argv, _ = _resolve(argv, cli_inputs, tmp_path)

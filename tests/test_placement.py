@@ -132,6 +132,22 @@ class TestToleranceForPair:
         assert tolerance_for_pair(("Si8", "Si9"), 4.31, self.CFG) == 0.6
 
 
+class TestPlacementConfig:
+    @pytest.mark.parametrize("value", [float("nan"), -float("inf"), -1.0])
+    def test_rejects_bad_min_detectable(self, value):
+        with pytest.raises(InputError, match="min_detectable must be >= 0"):
+            PlacementConfig(min_detectable=value)
+
+    @pytest.mark.parametrize("value", [0, -5, 2.5, "10"])
+    def test_rejects_bad_max_branches(self, value):
+        with pytest.raises(InputError, match="max_branches must be an integer >= 1"):
+            PlacementConfig(max_branches=value)
+
+    def test_accepts_edge_values(self):
+        config = PlacementConfig(min_detectable=0.0, max_branches=np.int64(1))
+        assert (config.min_detectable, config.max_branches) == (0.0, 1)
+
+
 class TestOrderHeuristic:
     def test_star_graph_deterministic(self):
         meas = [CouplingMeasurement("Si1", f"Si{i}", 10.0, 0.2) for i in range(2, 6)]

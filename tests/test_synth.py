@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spinmap import fileio, synth
 from spinmap.errors import InputError
-from conftest import reference_recovery, reference_sedor_between
+from conftest import drawn_lattices, reference_recovery, reference_sedor_between
 from spinmap.lattice import LatticeParams, SiteTable, build_lattice
 from spinmap.placement import CouplingMeasurement
 from spinmap.spinphys import DEFAULT_PHYSICS
@@ -135,6 +135,18 @@ class TestGenerateCluster:
             198, 672, 415, 345, 372, 347, 403, 455, 639, 378, 127, 546,
         ]
 
+    @pytest.mark.parametrize("structure", [ClusterStructure("random"),
+                                           ClusterStructure("clustered", 4, 5, 7)],
+                             ids=["random", "clustered"])
+    def test_negative_carbon_count_named(self, table26, structure):
+        with pytest.raises(InputError, match="carbon count must be >= 0, got n_c = -1"):
+            generate_cluster(table26, 22, -1, structure, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, (3, -2), [0, (1, -7)]])
+    def test_negative_seed_named(self, table26, seed):
+        with pytest.raises(InputError, match="seed must be >= 0, got -"):
+            generate_cluster(table26, 8, 2, ClusterStructure("random"), seed=seed)
+
     @pytest.mark.parametrize("n_si, n_c", [(400, 0), (1, 400)])
     def test_random_pool_smaller_than_request(self, params, n_si, n_c):
         # the table holds enough sites, the 12 A ball the random draw picks from does not
@@ -186,6 +198,39 @@ class TestDrawsUnchanged:
         assert _draws_digest(table30, clusters) == (
             "40155d761a4b2237c7015c457de0427f18838d38e9438246a0556d052327c4aa"
         )
+
+    def test_ensemble_pool(self, table26):
+        # every input of the ensemble benchmark's pool at seed 3001
+        clusters = [
+            generate_connected_cluster(table26, 22, 3, ClusterStructure("clustered", 4, 5, 7),
+                                       seed=3001 * 1000 + i,
+                                       noise=NoiseModel("gaussian", 0.2, 3.0))
+            for i in range(100)
+        ]
+        assert _draws_digest(table26, clusters) == (
+            "9e9015744690e39a43f0c19cff2369b0629fb79f222d58e9291136f9bc5ee232"
+        )
+
+    def test_sparse_pool(self, table30):
+        # every input of the sparse benchmark's pool at seed 3001: W6, then 149 random draws
+        clusters = [generate_cluster(table30, 24, 0, ClusterStructure("random"), seed=0)]
+        clusters += [
+            generate_connected_cluster(table30, 16, 0, ClusterStructure("random"),
+                                       seed=3001 * 1000 + i)
+            for i in range(1, 150)
+        ]
+        assert _draws_digest(table30, clusters) == (
+            "6f0a877cae4563ee02642a692fd2409f8b59aaf1404b98fc532a5587aba1f593"
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_lattices(), st.floats(4.0, 10.0), st.data())
+def test_distance_row_is_norm_bit_for_bit(params, radius, data):
+    positions = build_lattice(params, radius).positions
+    i = data.draw(st.integers(0, len(positions) - 1))
+    expected = np.linalg.norm(positions - positions[i], axis=1)
+    assert synth._distance_row(positions, i).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,6 +316,17 @@ class TestEmitCouplings:
             table26, 10, 1, ClusterStructure("clustered", 2, 5, 6), seed=2
         )
         assert emit_couplings(cluster, table26, float("inf")) == []
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.5])
+    def test_rejects_bad_min_detectable(self, table26, value):
+        cluster = generate_cluster(table26, 5, 0, ClusterStructure("clustered", 1, 5, 5), seed=0)
+        with pytest.raises(InputError, match="min_detectable must be >= 0"):
+            emit_couplings(cluster, table26, value)
+        with pytest.raises(InputError, match="min_detectable must be >= 0"):
+            truth_graph_connected(cluster.index, table26, value)
+        with pytest.raises(InputError, match="min_detectable must be >= 0"):
+            generate_connected_cluster(table26, 5, 0, ClusterStructure("clustered", 1, 5, 5),
+                                       min_detectable=value)
 
     def test_rows_validate_as_measurements(self, table26):
         cluster = generate_connected_cluster(
