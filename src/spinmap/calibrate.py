@@ -11,8 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, FitError, InputError, InversionError
+from .errors import BoundaryError, CapacityError, FitError, InputError, InversionError
 from .spinphys import FieldConfig, HyperfineTensor, SpinSpecies, invert_hyperfine
+
+# The default field-correction grid (G): -GRID_SPAN..GRID_SPAN in GRID_STEP.
+GRID_SPAN = 5.0
+GRID_STEP = 0.01
+
+# Most points field_correction_grid lays out.  Each point costs one hyperfine
+# inversion per spin, about 11 us on 2 CPUs, so a scan stays near 10 s per
+# spin: 1,000 times the default grid.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,20 @@ class FieldScanResult:
     mismatch: np.ndarray  # objective per grid point (Hz)
 
 
+def field_correction_grid(span: float, step: float) -> np.ndarray:
+    """Field corrections -span..span (G) in steps of step, both ends included."""
+    for flag, value in (("--grid-span", span), ("--grid-step", step)):
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{flag} must be finite and > 0, got {value}")
+    stop = span + 1e-12
+    points = (stop + span) / step  # np.arange lays out ceil(points)
+    if points > MAX_GRID_POINTS:
+        raise CapacityError(f"a field grid of span {span} G in steps of {step} G has "
+                            f"{points:.4g} points, above the cap of {MAX_GRID_POINTS} "
+                            f"(MAX_GRID_POINTS)")
+    return np.arange(-span, stop, step)
+
+
 def field_scan_min_aperp(
     f_plus: float,
     f_minus: float,
@@ -47,7 +70,7 @@ def field_scan_min_aperp(
     whose transverse coupling should be minimal).
     """
     if delta_b_grid is None:
-        delta_b_grid = np.arange(-5.0, 5.0 + 1e-12, 0.01)
+        delta_b_grid = field_correction_grid(GRID_SPAN, GRID_STEP)
     grid = np.asarray(delta_b_grid, dtype=float)
     if grid.size < 3:
         raise InputError("delta_b_grid needs at least 3 points")

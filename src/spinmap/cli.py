@@ -15,10 +15,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import fileio
-from .calibrate import calibrate_from_scans, field_scan_min_aperp
+from .calibrate import (
+    GRID_SPAN,
+    GRID_STEP,
+    calibrate_from_scans,
+    field_correction_grid,
+    field_scan_min_aperp,
+)
 from .errors import InputError, RecoveryError, SpinMapError
 from .lattice import LatticeParams, SiteTable, build_lattice
 from .placement import PlacementConfig, ambiguity_report, place_all, truth_recovery
@@ -210,18 +214,18 @@ def cmd_refine(args, physics):
 @command("calibrate", "field correction and g-factor estimate",
          _flag("--freqs", required=True, help="JSON with per-spin f_plus/f_minus"),
          _flag("--dft", required=True, help="CSV label,A_zz_Hz,A_perp_Hz"),
-         _flag("--grid-span", type=float, default=5.0, dest="grid_span"),
-         _flag("--grid-step", type=float, default=0.01, dest="grid_step"),
+         _flag("--grid-span", type=float, default=GRID_SPAN, dest="grid_span"),
+         _flag("--grid-step", type=float, default=GRID_STEP, dest="grid_step"),
          _flag("--delta-b-unc", type=float, default=0.6, dest="delta_b_unc"),
          _flag("--g-baseline", type=float, default=-2.0028, dest="g_baseline",
                help="assumed electron g-factor during the experiment"),
          _flag("--out", default="calibration.json"),
          inputs=("freqs", "dft"), outputs=("out",))
 def cmd_calibrate(args, physics):
+    grid = field_correction_grid(args.grid_span, args.grid_step)
     field, spins = fileio.read_frequency_json(args.freqs)
     field = FieldConfig(field.b_z, field.b_x, field.b_y, args.g_baseline)
     dft = fileio.read_dft_csv(args.dft)
-    grid = np.arange(-args.grid_span, args.grid_span + 1e-12, args.grid_step)
     scans = {}
     for lab, (fp, fm, subs) in sorted(spins.items()):
         if lab not in dft:

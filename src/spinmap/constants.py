@@ -40,10 +40,6 @@ def electron_gamma(g_factor: float = G_ELECTRON_DEFAULT) -> float:
 DIPOLE_PREFACTOR = (MU0 / (4.0 * math.pi)) * H_PLANCK / ANGSTROM_TO_METER**3
 
 
-def gauss_to_tesla(b_gauss: float) -> float:
-    return b_gauss * GAUSS_TO_TESLA
-
-
 def constants_table(gamma_si29: float = GAMMA_SI29, gamma_c13: float = GAMMA_C13) -> dict:
     """Machine-readable constant table (embedded in run manifests), with
     the nuclear gyromagnetic ratios a run used."""

@@ -20,6 +20,11 @@ from .spinphys import FieldConfig, HyperfineTensor, dipolar_tensor
 _E_INDEX = {1.5: 0, 0.5: 1, -0.5: 2, -1.5: 3}
 _N_INDEX = {0.5: 0, -0.5: 1}
 
+# Least squared overlap |<basis|eigenstate>|^2 for an eigenstate to carry a
+# secular label: above 0.5 no two labels can claim one eigenstate.  Near a level
+# crossing the overlap drops below it and labelling raises LabelingError.
+OVERLAP_THRESHOLD = 0.6
+
 
 def spin_matrices(s: float):
     """(Sx, Sy, Sz) for spin s in the descending-m basis."""
@@ -181,8 +186,8 @@ def _label(hs, overlap_threshold):
     """Diagonalize a (B, 16, 16) stack in one call and match each point's
     eigenstates to secular basis labels.
 
-    Returns (energies_by_basis_index, eigenvalues, eigenvectors), each with
-    the leading B axis.  The first point that fails a check raises.
+    Returns the energies by basis index, shape (B, 16).  The first point
+    that fails a check raises.
     """
     if not np.isfinite(hs).all():
         raise InputError("the Hamiltonian has non-finite entries")
@@ -198,19 +203,17 @@ def _label(hs, overlap_threshold):
             raise LabelingError(
                 f"basis state {idx} has max overlap {row_best.min():.3f} < {overlap_threshold}"
             )
-    energies = np.real(evals[np.arange(len(evals))[:, None], assignment])
-    return energies, evals, evecs
+    return np.real(evals[np.arange(len(evals))[:, None], assignment])
 
 
-def label_eigenstates(spec: SpinSystemSpec, overlap_threshold: float = 0.6):
+def label_eigenstates(spec: SpinSystemSpec):
     """Diagonalize and match eigenstates to secular basis labels.
 
-    Returns (energies_by_basis_index, eigenvalues, eigenvectors).  Fails
-    loudly when the best overlap drops below the threshold or the match is
-    not one-to-one (near level crossings).
+    Returns the 16 energies by basis index.  Fails loudly when the best
+    overlap drops below OVERLAP_THRESHOLD or the match is not one-to-one
+    (near level crossings).
     """
-    energies, evals, evecs = _label(build_hamiltonian(spec)[None], overlap_threshold)
-    return energies[0], evals[0], evecs[0]
+    return _label(build_hamiltonian(spec)[None], OVERLAP_THRESHOLD)[0]
 
 
 def _sedor_lambda(m_s: float, energies) -> float:
@@ -221,15 +224,15 @@ def _sedor_lambda(m_s: float, energies) -> float:
     return energies[k] + energies[k + 3] - energies[k + 2] - energies[k + 1]
 
 
-def sedor_frequency_exact(spec: SpinSystemSpec, m_s: float, overlap_threshold: float = 0.6) -> float:
+def sedor_frequency_exact(spec: SpinSystemSpec, m_s: float) -> float:
     """SEDOR frequency from exact eigenenergies in manifold m_s, Hz."""
-    energies, _, _ = label_eigenstates(spec, overlap_threshold)
+    energies = label_eigenstates(spec)
     return 0.5 * abs(_sedor_lambda(m_s, energies))
 
 
-def subspace_averaged_sedor(spec: SpinSystemSpec, overlap_threshold: float = 0.6) -> float:
+def subspace_averaged_sedor(spec: SpinSystemSpec) -> float:
     """Mean exact SEDOR frequency over the m_s = +-3/2 manifolds."""
-    energies, _, _ = label_eigenstates(spec, overlap_threshold)
+    energies = label_eigenstates(spec)
     return 0.5 * (
         0.5 * abs(_sedor_lambda(1.5, energies))
         + 0.5 * abs(_sedor_lambda(-1.5, energies))
@@ -333,7 +336,7 @@ def deviation_sweep(
     spec_template: SpinSystemSpec,
     phi_grid,
     transverse_field: float = 2.3,
-    overlap_threshold: float = 0.6,
+    overlap_threshold: float = OVERLAP_THRESHOLD,
 ) -> SweepResult:
     """Sweep both nuclei's transverse hyperfine phases (A_zx = cos(phi) A_perp)
     at fixed transverse field (G, applied along x) and record the worst-case
@@ -364,7 +367,7 @@ def deviation_sweep(
         b1, b2 = i1[start:start + _BLOCK], i2[start:start + _BLOCK]
         nuclei = ((sp1, a_zz1, zx1[b1], zy1[b1]), (sp2, a_zz2, zx2[b2], zy2[b2]))
         hs = _hamiltonians(spec_template.d, field, nuclei, spec_template.pair_tensor)
-        energies, _, _ = _label(hs, overlap_threshold)
+        energies = _label(hs, overlap_threshold)
         # energies.T[k] holds basis state k's energy at each point of the block
         f_plus = 0.5 * np.abs(_sedor_lambda(1.5, energies.T))
         f_minus = 0.5 * np.abs(_sedor_lambda(-1.5, energies.T))

@@ -26,9 +26,6 @@ _BOND_FRACTION = 0.75
 SPECIES_SI = "Si"
 SPECIES_C = "C"
 
-# Ideal 4H c/a ratio: four bilayers, each sqrt(2/3) a tall.
-IDEAL_C_OVER_A_4H = 4.0 * math.sqrt(2.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class LatticeParams:

@@ -24,7 +24,6 @@ class SequenceParams:
     omega_rf: float  # Hz, RF drive frequency
     omega_0: float  # Hz, nuclear frequency in one electron sublevel
     omega_1: float  # Hz, nuclear frequency in the other sublevel
-    phase_increment: float = 0.0  # rad
 
     def __post_init__(self):
         if not self.tau > 0:  # NaN too

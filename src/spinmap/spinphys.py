@@ -22,9 +22,10 @@ from .errors import InputError, InversionError, SingularityError
 
 @dataclass(frozen=True)
 class SpinSpecies:
+    """A spin-1/2 nuclear species (the oracle builds every nucleus as spin 1/2)."""
+
     name: str
     gyromagnetic_ratio: float  # Hz/T, signed
-    spin: float
 
     def __post_init__(self):
         if not (math.isfinite(self.gyromagnetic_ratio) and self.gyromagnetic_ratio != 0.0):
@@ -32,12 +33,10 @@ class SpinSpecies:
                 f"{self.name} gyromagnetic ratio must be finite and nonzero, "
                 f"got {self.gyromagnetic_ratio}"
             )
-        if self.spin not in (0.5, 1.5):
-            raise InputError(f"unsupported spin {self.spin}")
 
 
-SI29 = SpinSpecies("Si29", constants.GAMMA_SI29, 0.5)
-C13 = SpinSpecies("C13", constants.GAMMA_C13, 0.5)
+SI29 = SpinSpecies("Si29", constants.GAMMA_SI29)
+C13 = SpinSpecies("C13", constants.GAMMA_C13)
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,8 @@ class Physics:
     def from_gammas(cls, gamma_si29=None, gamma_c13=None):
         """The default species with either gyromagnetic ratio (Hz/T) replaced."""
         return cls(
-            SI29 if gamma_si29 is None else SpinSpecies("Si29", float(gamma_si29), 0.5),
-            C13 if gamma_c13 is None else SpinSpecies("C13", float(gamma_c13), 0.5),
+            SI29 if gamma_si29 is None else SpinSpecies("Si29", float(gamma_si29)),
+            C13 if gamma_c13 is None else SpinSpecies("C13", float(gamma_c13)),
         )
 
     def constants_table(self) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .lattice import SiteTable
 from .placement import CouplingMeasurement, check_min_detectable, sedor_between
 from .spinphys import DEFAULT_PHYSICS, Physics
@@ -30,6 +30,11 @@ SEED_R_MIN, SEED_R_MAX = 4.0, 11.0  # A: radii of the shell cluster seeds are dr
 SEED_MIN_SEPARATION = 6.5  # A between any two seeds ...
 SEED_MAX_LINK = 8.5  # ... and at most this from the nearest earlier seed
 SEED_ATTEMPTS = 400  # seed draws before giving up
+
+# Most bins emit_telegraph lays out.  The state, rate, count and time arrays
+# take about 40 bytes a bin, so this keeps a trace under about 400 MB: 250
+# times the default 200 s trace at 5 ms.
+MAX_TELEGRAPH_BINS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -219,6 +224,8 @@ def _draw_indices(table, n_si, n_c, structure, seed):
                 n_si_here -= 1  # anchor already counted
             d_all = _distance_row(pos, seed_idx)
             for (idx_all, chosen), n in zip(per_species, (n_si_here, n_c_here)):
+                if n == 0:
+                    continue
                 d = d_all[idx_all]
                 # the n nearest free sites lie among the n + len(taken) nearest
                 for j in _nearest(d, n + len(taken)):
@@ -245,7 +252,6 @@ def generate_cluster(
     n_c: int,
     structure: ClusterStructure = ClusterStructure(),
     seed: int = 0,
-    noise: NoiseModel = NoiseModel(),
 ) -> SyntheticCluster:
     """Choose ground-truth sites for n_si silicon and n_c carbon spins.
 
@@ -255,7 +261,7 @@ def generate_cluster(
     [size_min, size_max].
     """
     index, cluster_of = _draw_indices(table, n_si, n_c, structure, seed)
-    return SyntheticCluster(table, index, noise, _seed_tuple(seed), cluster_of)
+    return SyntheticCluster(table, index, NoiseModel(), _seed_tuple(seed), cluster_of)
 
 
 def generate_spread_cluster(table: SiteTable, seed: int = 0, noise: NoiseModel = NoiseModel(),
@@ -388,8 +394,12 @@ def emit_telegraph(rates, bright_cps: float = 3000.0, dark_cps: float = 600.0,
             raise InputError(f"{name} must be finite and >= 0, got {value}")
     if dt >= 0.1 / max(gamma_bd, gamma_db):
         raise InputError("dt must be below min(1/rates)/10")
+    bins = duration / dt
+    if bins > MAX_TELEGRAPH_BINS:
+        raise CapacityError(f"duration / dt asks for {bins:.4g} bins, above the cap of "
+                            f"{MAX_TELEGRAPH_BINS} (MAX_TELEGRAPH_BINS)")
     rng = np.random.default_rng(_seed_tuple(seed) + (0x7E1E,))
-    n = int(round(duration / dt))
+    n = int(round(bins))
     p_bright = gamma_db / (gamma_bd + gamma_db)
     state = bool(rng.random() < p_bright)
     states = np.empty(n, dtype=bool)

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from spinmap.calibrate import (
+    MAX_GRID_POINTS,
     bath_center_shift,
     calibrate_from_scans,
     dft_comparison_report,
+    field_correction_grid,
     field_scan_min_aperp,
     g_factor_from_delta_b,
 )
-from spinmap.errors import BoundaryError, FitError, InputError
+from spinmap.errors import BoundaryError, CapacityError, FitError, InputError
 from spinmap.spinphys import (
     C13,
     SI29,
@@ -88,6 +90,28 @@ class TestFieldScan:
         d_azz = abs(out[1].a_zz - out[-1].a_zz) / (2 * db)
         d_aperp = abs(out[1].a_perp - out[-1].a_perp) / (2 * db)
         assert d_aperp / d_azz > 10
+
+
+class TestFieldCorrectionGrid:
+    def test_default_grid_bits(self, field_1960):
+        grid = np.arange(-5.0, 5.0 + 1e-12, 0.01)
+        assert field_correction_grid(5.0, 0.01).tobytes() == grid.tobytes()
+        fp, fm = synth_pair(-150e3, 700.0, 1960.9)
+        res = field_scan_min_aperp(
+            fp, fm, HyperfineTensor.from_perp(-150e3, 700.0), field_1960, SI29
+        )
+        assert res.grid.tobytes() == grid.tobytes()
+
+    def test_cap_checked_before_the_grid_is_laid_out(self, monkeypatch):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange reached past the cap")
+
+        assert field_correction_grid(1.0, 2.000001e-6).size == MAX_GRID_POINTS == 1_000_000
+        monkeypatch.setattr(np, "arange", no_arange)
+        # (1 + 1e-12 + 1) / 2e-6 is just above the cap; the last quotient overflows
+        for span, step in ((1.0, 2e-6), (1e308, 1e-300)):
+            with pytest.raises(CapacityError, match="MAX_GRID_POINTS"):
+                field_correction_grid(span, step)
 
 
 def test_aperp_sensitivity_decreases_with_field():

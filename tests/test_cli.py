@@ -26,6 +26,7 @@ def run(args):
 
 PLACE_ARGS = ["--couplings", "COUPLINGS", "--out", "OUT"]
 DDRF_ARGS = ["--omega0", "1.60e6", "--omega1", "1.63e6", "--omega-rf", "1.60e6"]
+CALIBRATE_ARGS = ["calibrate", "--freqs", "FREQS", "--dft", "DFT", "--out", "OUT"]
 
 
 class TestExitCodes:
@@ -179,6 +180,16 @@ class TestExitCodes:
                      id="place-min-detectable-negative"),
         pytest.param(["place", *PLACE_ARGS, "--max-branches", "-5"], "max_branches",
                      id="place-max-branches"),
+        pytest.param([*CALIBRATE_ARGS, "--grid-step", "0"], "--grid-step",
+                     id="calibrate-grid-step-0"),
+        pytest.param([*CALIBRATE_ARGS, "--grid-step", "nan"], "--grid-step",
+                     id="calibrate-grid-step-nan"),
+        pytest.param([*CALIBRATE_ARGS, "--grid-step", "-0.01"], "--grid-step",
+                     id="calibrate-grid-step-negative"),
+        pytest.param([*CALIBRATE_ARGS, "--grid-span", "inf"], "--grid-span",
+                     id="calibrate-grid-span-inf"),
+        pytest.param([*CALIBRATE_ARGS, "--grid-span", "0"], "--grid-span",
+                     id="calibrate-grid-span-0"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, cli_inputs, argv, named):
         argv, _ = _resolve(argv, cli_inputs, tmp_path)
@@ -187,6 +198,35 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.count("\n") == 1
         err = json.loads(captured.err)
         assert err["error"] == "input" and named in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param([*CALIBRATE_ARGS, "--grid-step", "1e-7"], "MAX_GRID_POINTS",
+                     id="calibrate-tiny-step"),
+        pytest.param([*CALIBRATE_ARGS, "--grid-span", "1e300", "--grid-step", "1"],
+                     "MAX_GRID_POINTS", id="calibrate-huge-span"),
+        pytest.param(["synth", "telegraph", "--duration", "1e300", "--out", "OUT"],
+                     "MAX_TELEGRAPH_BINS", id="synth-telegraph-huge-duration"),
+        pytest.param(["synth", "telegraph", "--duration", "1e9", "--out", "OUT"],
+                     "MAX_TELEGRAPH_BINS", id="synth-telegraph-long-duration"),
+        pytest.param(["synth", "telegraph", "--dt", "1e-9", "--out", "OUT"],
+                     "MAX_TELEGRAPH_BINS", id="synth-telegraph-tiny-dt"),
+    ])
+    def test_oversized_request_is_capacity_error(self, tmp_path, capsys, cli_inputs,
+                                                 monkeypatch, argv, named):
+        # the cap must be checked before the grid or trace is laid out or drawn
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocation or draw reached past the cap")
+
+        argv, _ = _resolve(argv, cli_inputs, tmp_path)
+        for name in ("arange", "empty"):
+            monkeypatch.setattr(np, name, no_alloc)
+        monkeypatch.setattr(np.random, "default_rng", no_alloc)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "capacity" and named in err["message"]
         assert not (tmp_path / "out").exists()
 
     def test_nan_sigma_is_input_error(self, tmp_path, capsys):

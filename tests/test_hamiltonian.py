@@ -254,7 +254,7 @@ class TestExactDiagonalization:
             ((SI29, HyperfineTensor(-4.8e6)), (C13, HyperfineTensor(120e3))),
             np.diag([0.0, 0.0, 140.0]),
         )
-        energies, _, _ = label_eigenstates(spec)
+        energies = label_eigenstates(spec)
         for label in all_labels():
             lam0 = eigenenergy_zeroth(spec, label)
             assert energies[label.basis_index] == pytest.approx(lam0, rel=1e-10)
@@ -325,7 +325,7 @@ class TestCachedOperators:
 
     @pytest.mark.parametrize("m_s", [1.5, 0.5, -0.5, -1.5])
     def test_sedor_lambda_matches_label_form(self, params, m_s):
-        energies, _, _ = label_eigenstates(strong_pair_spec(params, b_x=2.3))
+        energies = label_eigenstates(strong_pair_spec(params, b_x=2.3))
         random_energies = np.random.default_rng(3).normal(size=16)
         for e in (energies, random_energies):
             def at(m1, m2):

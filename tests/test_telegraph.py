@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spinmap.errors import InputError, InsufficientStatisticsError
-from spinmap.synth import emit_telegraph
+from spinmap.errors import CapacityError, InputError, InsufficientStatisticsError
+from spinmap.synth import MAX_TELEGRAPH_BINS, emit_telegraph
 from spinmap.telegraph import (
     TimeTrace,
     analyze_trace,
@@ -183,3 +183,15 @@ class TestEmitTelegraph:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(InputError):
             emit_telegraph((0.0, 0.5), 2000.0, 600.0, True, 10.0, 0.005, 0)
+
+    # just above the cap, and a bin count that overflows to inf
+    @pytest.mark.parametrize("duration, dt", [(MAX_TELEGRAPH_BINS * 0.005 + 0.01, 0.005),
+                                              (1e308, 1e-10)])
+    def test_bin_cap_checked_before_drawing_or_allocating(self, monkeypatch, duration, dt):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocation or draw reached past the cap")
+
+        monkeypatch.setattr(np, "empty", no_alloc)
+        monkeypatch.setattr(np.random, "default_rng", no_alloc)
+        with pytest.raises(CapacityError, match="MAX_TELEGRAPH_BINS"):
+            emit_telegraph(RATES, 3000.0, 600.0, True, duration, dt, 0)
