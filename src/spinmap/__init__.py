@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .calibrate import (
     CalibrationResult,
-    bath_center_shift,
     dft_comparison_report,
     field_scan_min_aperp,
     g_factor_from_delta_b,

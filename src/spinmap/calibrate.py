@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, CapacityError, FitError, InputError, InversionError
+from .errors import BoundaryError, CapacityError, InputError, InversionError
 from .spinphys import FieldConfig, HyperfineTensor, SpinSpecies, invert_hyperfine
 
 # The default field-correction grid (G): -GRID_SPAN..GRID_SPAN in GRID_STEP.
@@ -53,6 +53,9 @@ def field_correction_grid(span: float, step: float) -> np.ndarray:
         raise CapacityError(f"a field grid of span {span} G in steps of {step} G has "
                             f"{points:.4g} points, above the cap of {MAX_GRID_POINTS} "
                             f"(MAX_GRID_POINTS)")
+    if points <= 2:  # np.arange lays out ceil(points) < 3
+        raise InputError(f"--grid-span {span} G and --grid-step {step} G give "
+                         f"{math.ceil(points)} grid points; the scan needs at least 3")
     return np.arange(-span, stop, step)
 
 
@@ -128,49 +131,6 @@ def calibrate_from_scans(
     return CalibrationResult(
         base.delta_b, base.delta_b_uncertainty, base.g_factor, base.g_uncertainty, per_spin
     )
-
-
-def bath_center_shift(frequencies, amplitudes, species: SpinSpecies, field: FieldConfig):
-    """Gaussian fit of a bath line; returns (df, dB_equivalent).
-
-    df is the fitted center minus the bare Larmor frequency gamma*B; dB is
-    the field offset producing that shift.  Raises FitError on
-    non-convergence or amplitude SNR < 3.
-    """
-    f = np.asarray(frequencies, dtype=float)
-    a = np.asarray(amplitudes, dtype=float)
-    if f.ndim != 1 or f.shape != a.shape or f.size < 5:
-        raise InputError("need matching 1-d frequency/amplitude arrays (>= 5 points)")
-    # moment-based initialization
-    base = float(np.median(a))
-    w = np.clip(a - base, 0, None)
-    if w.sum() <= 0:
-        raise FitError("no positive excursion above baseline")
-    c0 = float((f * w).sum() / w.sum())
-    s0 = math.sqrt(max(float((w * (f - c0) ** 2).sum() / w.sum()), (f[1] - f[0]) ** 2))
-
-    def model(x, amp, center, sigma, offset):
-        return amp * np.exp(-0.5 * ((x - center) / sigma) ** 2) + offset
-
-    from scipy.optimize import curve_fit
-
-    try:
-        popt, _ = curve_fit(
-            model, f, a, p0=(float(w.max()), c0, s0, base), maxfev=20000
-        )
-    except RuntimeError as exc:
-        raise FitError(f"gaussian fit did not converge: {exc}") from exc
-    amp, center, sigma, offset = popt
-    resid = a - model(f, *popt)
-    noise = float(np.std(resid))
-    if noise > 0 and abs(amp) / noise < 3.0:
-        raise FitError(f"fit amplitude SNR {abs(amp) / noise:.2f} < 3")
-    if amp <= 0:
-        raise FitError("fitted amplitude is not positive")
-    larmor = abs(species.gyromagnetic_ratio) * field.b_z_tesla
-    df = float(center - larmor)
-    db = df / abs(species.gyromagnetic_ratio) * 1e4  # Hz/(Hz/T) -> T -> G
-    return df, db
 
 
 @dataclass(frozen=True)

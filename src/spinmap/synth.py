@@ -137,7 +137,11 @@ def _pick_cluster_seeds(table, rng, anchor_idx, n_clusters):
             seeds.append(cand)
     if len(seeds) < n_clusters:
         raise InputError(
-            f"could not find {n_clusters} cluster seeds on this lattice"
+            f"found {len(seeds)} of {n_clusters} cluster seeds in {SEED_ATTEMPTS} draws "
+            f"(SEED_ATTEMPTS) from the {SEED_R_MIN:g}-{SEED_R_MAX:g} A shell (SEED_R_MIN, "
+            f"SEED_R_MAX), each at least {SEED_MIN_SEPARATION:g} A from every earlier seed "
+            f"and at most {SEED_MAX_LINK:g} A from the nearest; the shell does not grow "
+            f"with the lattice"
         )
     return seeds
 
@@ -398,8 +402,11 @@ def emit_telegraph(rates, bright_cps: float = 3000.0, dark_cps: float = 600.0,
     if bins > MAX_TELEGRAPH_BINS:
         raise CapacityError(f"duration / dt asks for {bins:.4g} bins, above the cap of "
                             f"{MAX_TELEGRAPH_BINS} (MAX_TELEGRAPH_BINS)")
-    rng = np.random.default_rng(_seed_tuple(seed) + (0x7E1E,))
     n = int(round(bins))
+    if n < 2:
+        raise InputError(f"duration / dt = {duration} / {dt} gives {n} bins; a trace "
+                         f"needs at least 2")
+    rng = np.random.default_rng(_seed_tuple(seed) + (0x7E1E,))
     p_bright = gamma_db / (gamma_bd + gamma_db)
     state = bool(rng.random() < p_bright)
     states = np.empty(n, dtype=bool)

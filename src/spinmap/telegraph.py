@@ -11,6 +11,12 @@ from .errors import FitError, InputError, InsufficientStatisticsError
 DEFAULT_THRESHOLD = 1295.0  # counts/s
 DEFAULT_WINDOW = 5  # bins
 
+# Most halvings and doublings of 1/mean(d) the histogram fit makes to bracket
+# its rate.  Fitted rates of exponential samples lie within a factor of 5 of
+# 1/mean(d); a factor of 2**64 runs out only where the cost keeps falling, as on
+# a histogram that rises.
+HISTOGRAM_BRACKET_STEPS = 64
+
 
 @dataclass(frozen=True)
 class TimeTrace:
@@ -113,8 +119,9 @@ def fit_rates(dwells, method: str = "mle") -> RateEstimate:
     """Exponential rate from a dwell-time sample.
 
     mle: rate = 1/mean with standard error rate/sqrt(N).
-    histogram: least-squares exponential fit to the dwell-time histogram
-    (Freedman-Diaconis bins), for parity with histogram-based analyses.
+    histogram: unweighted least-squares fit of a*exp(-r*t) to the occupied
+    bins of the dwell-time histogram (Freedman-Diaconis bins), for parity
+    with histogram-based analyses; FitError if no rate minimizes the cost.
     """
     d = np.asarray(dwells, dtype=float)
     if d.size < 3:
@@ -133,20 +140,52 @@ def fit_rates(dwells, method: str = "mle") -> RateEstimate:
     keep = counts > 0
     if keep.sum() < 3:
         raise InsufficientStatisticsError("too few occupied histogram bins")
+    t, y = centers[keep], counts[keep].astype(float)
+    rate = _exponential_rate(t, y, 1.0 / d.mean(), d.size)
+    e = np.exp(-rate * t)
+    a = (y @ e) / (e @ e)
+    resid = y - a * e
+    # scipy curve_fit's default standard error, sqrt(s^2 [(J^T J)^-1]_rr) with
+    # s^2 = RSS / (m - 2) and J = [e, -a t e], in closed form
+    w = e * e
+    spread = w @ (t - (t @ w) / w.sum()) ** 2
+    err = math.sqrt((resid @ resid) / (t.size - 2) / (a * a * spread))
+    return RateEstimate(float(rate), err, int(d.size))
 
-    def model(t, a, r):
-        return a * np.exp(-r * t)
 
-    p0 = (float(counts.max()), 1.0 / d.mean())
-    from scipy.optimize import curve_fit
+def _exponential_rate(t, y, r0: float, n: int) -> float:
+    """Rate r of the least-squares fit of a*exp(-r*t) to (t, y), by variable
+    projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
 
-    try:
-        popt, pcov = curve_fit(model, centers[keep], counts[keep], p0=p0, maxfev=10000)
-    except RuntimeError as exc:
-        raise FitError(f"histogram fit failed: {exc}") from exc
-    rate = float(popt[1])
-    err = float(np.sqrt(pcov[1, 1])) if np.isfinite(pcov[1, 1]) else float("nan")
-    return RateEstimate(rate, err, int(d.size))
+    For fixed r the best a is (y.e)/(e.e) with e = exp(-r*t); the cost then
+    falls while g(r) = (y.e)(t.e.e) - (t.e.y)(e.e) > 0 and rises while it is
+    < 0.  The sign change is bracketed from r0 and bisected until the
+    midpoint equals an end.
+    """
+
+    def g(r):
+        e = np.exp(-r * t)
+        return (y @ e) * (t @ (e * e)) - (t @ (e * y)) * (e @ e)
+
+    lo = hi = r0
+    for _ in range(HISTOGRAM_BRACKET_STEPS):
+        if g(lo) <= 0:
+            lo *= 0.5
+        elif g(hi) >= 0:
+            hi *= 2.0
+        else:
+            break
+    else:
+        raise FitError(f"histogram fit of {n} dwells: no rate within a factor of "
+                       f"2**{HISTOGRAM_BRACKET_STEPS} of 1/mean minimizes the cost")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def analyze_trace(trace: TimeTrace, window: int = DEFAULT_WINDOW,

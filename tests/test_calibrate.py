@@ -3,16 +3,14 @@ import pytest
 
 from spinmap.calibrate import (
     MAX_GRID_POINTS,
-    bath_center_shift,
     calibrate_from_scans,
     dft_comparison_report,
     field_correction_grid,
     field_scan_min_aperp,
     g_factor_from_delta_b,
 )
-from spinmap.errors import BoundaryError, CapacityError, FitError, InputError
+from spinmap.errors import BoundaryError, CapacityError, InputError
 from spinmap.spinphys import (
-    C13,
     SI29,
     FieldConfig,
     HyperfineTensor,
@@ -113,6 +111,13 @@ class TestFieldCorrectionGrid:
             with pytest.raises(CapacityError, match="MAX_GRID_POINTS"):
                 field_correction_grid(span, step)
 
+    def test_three_points_is_the_smallest_grid(self, monkeypatch):
+        assert field_correction_grid(0.01, 0.01).size == 3
+        monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("grid laid out"))
+        for span, points in ((0.0099, 2), (0.001, 1)):
+            with pytest.raises(InputError, match=f"give {points} grid points"):
+                field_correction_grid(span, 0.01)
+
 
 def test_aperp_sensitivity_decreases_with_field():
     hf = HyperfineTensor.from_perp(-150e3, 20e3)
@@ -164,39 +169,6 @@ class TestGFactor:
         assert res.delta_b == pytest.approx(-1.53, abs=0.02)
         assert res.g_factor == pytest.approx(-2.0012, abs=1e-4)
         assert set(res.per_spin) == {"Si5", "Si14"}
-
-
-class TestBathCenterShift:
-    @staticmethod
-    def gaussian_spectrum(center, width=30e3, n=401, span=400e3, amp=1.0, noise=0.0, seed=0):
-        rng = np.random.default_rng(seed)
-        f = np.linspace(center - span, center + span, n)
-        a = amp * np.exp(-0.5 * ((f - center) / width) ** 2)
-        if noise:
-            a = a + rng.normal(0, noise, n)
-        return f, a
-
-    def test_centered_line_gives_zero_shift(self, field_1960):
-        larmor = abs(C13.gyromagnetic_ratio) * field_1960.b_z_tesla
-        f, a = self.gaussian_spectrum(larmor, noise=0.01)
-        df, db = bath_center_shift(f, a, C13, field_1960)
-        assert df == pytest.approx(0.0, abs=2e3)
-        assert db == pytest.approx(0.0, abs=2.0)
-
-    def test_offset_line_matches_field_shift(self, field_1960):
-        # a -2.1 kHz shift of the carbon bath corresponds to about -2 G
-        larmor = abs(C13.gyromagnetic_ratio) * field_1960.b_z_tesla
-        f, a = self.gaussian_spectrum(larmor - 2100.0, noise=0.005)
-        df, db = bath_center_shift(f, a, C13, field_1960)
-        assert df == pytest.approx(-2100.0, abs=300.0)
-        assert db == pytest.approx(-1.96, abs=0.3)
-
-    def test_flat_noise_raises(self, field_1960):
-        rng = np.random.default_rng(3)
-        f = np.linspace(2.0e6, 2.2e6, 201)
-        a = rng.normal(1.0, 0.05, f.size)
-        with pytest.raises(FitError):
-            bath_center_shift(f, a, C13, field_1960)
 
 
 class TestDftComparison:

@@ -190,6 +190,10 @@ class TestExitCodes:
                      id="calibrate-grid-span-inf"),
         pytest.param([*CALIBRATE_ARGS, "--grid-span", "0"], "--grid-span",
                      id="calibrate-grid-span-0"),
+        pytest.param([*CALIBRATE_ARGS, "--grid-span", "0.001"], "--grid-span",
+                     id="calibrate-grid-span-one-point"),
+        pytest.param(["synth", "telegraph", "--duration", "0.001", "--out", "OUT"], "duration",
+                     id="synth-telegraph-duration-zero-bins"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, cli_inputs, argv, named):
         argv, _ = _resolve(argv, cli_inputs, tmp_path)
@@ -331,29 +335,26 @@ class TestExitCodes:
         assert diag["final_residual"] > diag["initial_residual"]
 
 
-class TestLazyScipy:
-    def test_cli_import_leaves_scipy_optimize_out(self):
+class TestNoScipy:
+    def test_histogram_fit_and_calibration_import_no_scipy(self, tmp_path):
+        trace, fit, calib = tmp_path / "trace.csv", tmp_path / "fit.json", tmp_path / "calib.json"
+        assert run(["synth", "telegraph", "--seed", "3", "--out", trace]) == 0
+        freqs, dft = _calibration_inputs(tmp_path)
         code = (
-            "import sys, numpy as np\n"
-            "import spinmap.cli\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
-            "from spinmap.calibrate import bath_center_shift\n"
-            "from spinmap.spinphys import SI29, FieldConfig\n"
-            "from spinmap.telegraph import fit_rates\n"
-            "field = FieldConfig(b_z=1960.9)\n"
-            "f = abs(SI29.gyromagnetic_ratio) * field.b_z_tesla + np.linspace(-50, 50, 41)\n"
-            "a = np.exp(-0.5 * ((f - f[20] - 5.0) / 8.0) ** 2)\n"
-            "df, _ = bath_center_shift(f, a, SI29, field)\n"
-            "assert abs(df - 5.0) < 1e-6, df\n"
-            "d = np.random.default_rng(0).exponential(2.0, 500)\n"
-            "rate = fit_rates(d, 'histogram').rate\n"
-            "assert 0.4 < rate < 0.6, rate\n"
-            "assert 'scipy.optimize' in sys.modules\n"
+            "import sys\n"
+            "from spinmap.cli import main\n"
+            f"assert main(['telegraph', '--trace', {str(trace)!r}, '--method', 'histogram', "
+            f"'--out', {str(fit)!r}]) == 0\n"
+            f"assert main(['calibrate', '--freqs', {str(freqs)!r}, '--dft', {str(dft)!r}, "
+            f"'--out', {str(calib)!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         src = str(Path(spinmap.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert json.loads(fit.read_text())["rate_bright_to_dark_hz"] > 0
 
 
 class TestLatticeCommand:

@@ -147,6 +147,13 @@ class TestGenerateCluster:
         with pytest.raises(InputError, match="seed must be >= 0, got -"):
             generate_cluster(table26, 8, 2, ClusterStructure("random"), seed=seed)
 
+    def test_cluster_seed_shortfall_names_the_shell(self, table26):
+        # the seed shell is 4-11 A whatever the table's radius, so more seeds
+        # than the shell holds fail on a large table too
+        with pytest.raises(InputError, match=r"found \d+ of 16 cluster seeds in 400 draws "
+                                             r"\(SEED_ATTEMPTS\) from the 4-11 A shell"):
+            generate_cluster(table26, 20, 0, ClusterStructure("clustered", 16, 1, 2), seed=0)
+
     @pytest.mark.parametrize("n_si, n_c", [(400, 0), (1, 400)])
     def test_random_pool_smaller_than_request(self, params, n_si, n_c):
         # the table holds enough sites, the 12 A ball the random draw picks from does not

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinmap.errors import CapacityError, InputError, InsufficientStatisticsError
+from spinmap.errors import CapacityError, FitError, InputError, InsufficientStatisticsError
 from spinmap.synth import MAX_TELEGRAPH_BINS, emit_telegraph
 from spinmap.telegraph import (
     TimeTrace,
@@ -122,6 +122,36 @@ class TestFitRates:
         hist = fit_rates(d, "histogram")
         assert hist.rate == pytest.approx(mle.rate, rel=0.2)
 
+    def test_histogram_fit_matches_curve_fit_reference(self):
+        from scipy.optimize import curve_fit
+
+        def model(t, a, r):
+            return a * np.exp(-r * t)
+
+        samples = [np.random.default_rng(8).exponential(1.0 / 0.5, 4000)]
+        for seed in range(3):
+            tr = emit_telegraph(RATES, seed=seed)
+            samples += dwell_times(smooth_and_threshold(tr), tr.dt)
+        samples += [np.random.default_rng(100 + s).exponential(1.3, n)
+                    for n in (20, 200, 1000) for s in range(2)]
+        for d in samples:
+            got = fit_rates(d, "histogram")
+            counts, edges = np.histogram(d, bins="fd")
+            keep = counts > 0
+            t, y = 0.5 * (edges[:-1] + edges[1:])[keep], counts[keep]
+            popt, pcov = curve_fit(model, t, y, p0=(float(counts.max()), 1.0 / d.mean()),
+                                   maxfev=10000)
+            assert got.rate == pytest.approx(popt[1], rel=1e-4)
+            assert got.stderr == pytest.approx(math.sqrt(pcov[1, 1]), rel=5e-4)
+            e = np.exp(-got.rate * t)
+            cost = np.sum((y - (y @ e) / (e @ e) * e) ** 2)
+            assert cost <= np.sum((y - model(t, *popt)) ** 2)
+
+    def test_histogram_that_rises_has_no_fit(self):
+        d = 3.0 - np.random.default_rng(1).exponential(0.5, 500).clip(0.0, 2.9)
+        with pytest.raises(FitError, match="500 dwells"):
+            fit_rates(d, "histogram")
+
     def test_degenerate_histogram_rejected(self):
         with pytest.raises(InputError):
             fit_rates(np.full(50, 2.0), "histogram")
@@ -183,6 +213,12 @@ class TestEmitTelegraph:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(InputError):
             emit_telegraph((0.0, 0.5), 2000.0, 600.0, True, 10.0, 0.005, 0)
+
+    def test_two_bins_is_the_shortest_trace(self, monkeypatch):
+        assert emit_telegraph(RATES, duration=0.01, dt=0.005).counts.size == 2
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drawn"))
+        with pytest.raises(InputError, match=r"duration / dt = 0.007 / 0.005 gives 1 bins"):
+            emit_telegraph(RATES, duration=0.007, dt=0.005)
 
     # just above the cap, and a bin count that overflows to inf
     @pytest.mark.parametrize("duration, dt", [(MAX_TELEGRAPH_BINS * 0.005 + 0.01, 0.005),
